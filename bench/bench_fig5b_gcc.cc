@@ -13,12 +13,46 @@
  * than real C), but the cross-system ratios are preserved.
  */
 #include "bench/bench_util.h"
+#include "trace/metrics.h"
 
 using namespace occlum;
 
 namespace {
 
 constexpr uint64_t kBigReserve = 16 << 20;
+
+/** Block-cache dispatch counters from the metrics registry. */
+struct CacheCounts {
+    uint64_t hits = 0;
+    uint64_t misses = 0;
+    uint64_t invalidations = 0;
+
+    static CacheCounts
+    now()
+    {
+        auto &registry = trace::Registry::instance();
+        return {registry.counter("vm.block_cache.hits").value(),
+                registry.counter("vm.block_cache.misses").value(),
+                registry.counter("vm.block_cache.invalidations").value()};
+    }
+
+    CacheCounts
+    operator-(const CacheCounts &o) const
+    {
+        return {hits - o.hits, misses - o.misses,
+                invalidations - o.invalidations};
+    }
+};
+
+void
+print_cache_leg(const char *leg, const CacheCounts &c)
+{
+    std::printf("  %-7s block cache: %llu hits, %llu misses, "
+                "%llu invalidations\n",
+                leg, (unsigned long long)c.hits,
+                (unsigned long long)c.misses,
+                (unsigned long long)c.invalidations);
+}
 
 std::string
 make_source_text(uint64_t bytes)
@@ -80,7 +114,9 @@ main()
         }
         linux_files.put("/src.c", source_bytes);
         baseline::LinuxSystem linux_sys(linux_clock, linux_files);
+        CacheCounts before = CacheCounts::now();
         double linux_s = bench::timed_run(linux_sys, "gcc", argv);
+        CacheCounts linux_cache = CacheCounts::now() - before;
 
         // Graphene-like EIP (read-only FS serves the source fine).
         sgx::Platform eip_platform;
@@ -90,7 +126,9 @@ main()
         }
         eip_files.put("/src.c", source_bytes);
         baseline::EipSystem eip_sys(eip_platform, eip_files, {});
+        before = CacheCounts::now();
         double eip_s = bench::timed_run(eip_sys, "gcc", argv);
+        CacheCounts eip_cache = CacheCounts::now() - before;
 
         // Occlum: the source lives on the encrypted FS.
         sgx::Platform occ_platform;
@@ -101,7 +139,20 @@ main()
         auto config = bench::occlum_config(6, kBigReserve, 8 << 20);
         libos::OcclumSystem occ_sys(occ_platform, occ_files, config);
         OCC_CHECK(occ_sys.fs().write_file("/src.c", source_bytes).ok());
+        before = CacheCounts::now();
         double occ_s = bench::timed_run(occ_sys, "gcc", argv);
+        CacheCounts occ_cache = CacheCounts::now() - before;
+
+        // The EIP leg's RWX data pool is never fetched from, so its
+        // stores must leave cached code alone: same dispatch as Linux.
+        std::printf("%s\n", unit.label);
+        print_cache_leg("Linux", linux_cache);
+        print_cache_leg("EIP", eip_cache);
+        print_cache_leg("Occlum", occ_cache);
+        OCC_CHECK_MSG(eip_cache.invalidations == 0 &&
+                          eip_cache.hits == linux_cache.hits &&
+                          eip_cache.misses == linux_cache.misses,
+                      "EIP stores into RWX data invalidated cached code");
 
         table.add_row({unit.label, format_time_us(linux_s * 1e6),
                        format_time_us(eip_s * 1e6),

@@ -9,9 +9,6 @@
  * (Graphene is excluded, as in the paper: no writable encrypted FS.)
  */
 #include "bench/bench_util.h"
-#include <chrono>
-static double now_s() { return std::chrono::duration<double>(std::chrono::steady_clock::now().time_since_epoch()).count(); }
-static double t_build=0, t_linux=0, t_occ_ctor=0, t_occ_run=0;
 
 using namespace occlum;
 
@@ -39,12 +36,10 @@ run_phase(oskit::Kernel &sys, const std::string &prog, uint64_t chunk,
 int
 main()
 {
-    double t0 = now_s();
     workloads::ProgramBuild writer =
         workloads::build_program(workloads::file_write_bench_source());
     workloads::ProgramBuild reader =
         workloads::build_program(workloads::file_read_bench_source());
-    t_build = now_s() - t0;
 
     Table reads("Fig 6c: sequential file READ throughput");
     reads.set_header({"buffer", "Linux ext4", "Occlum EncFS",
@@ -66,11 +61,9 @@ main()
         host::HostFileStore linux_files;
         linux_files.put("fwrite", writer.plain);
         linux_files.put("fread", reader.plain);
-        double tl = now_s();
         baseline::LinuxSystem linux_sys(linux_clock, linux_files);
         double linux_w = run_phase(linux_sys, "fwrite", chunk, total);
         double linux_r = run_phase(linux_sys, "fread", chunk, 0);
-        t_linux += now_s() - tl;
 
         // ---- Occlum (small page cache so reads hit the device) ----
         sgx::Platform occ_platform;
@@ -80,13 +73,9 @@ main()
         auto config = bench::occlum_config();
         config.fs_blocks = 1 << 15;
         config.fs_cache_blocks = 64; // force cold reads like ext4's
-        double tc = now_s();
         libos::OcclumSystem occ_sys(occ_platform, occ_files, config);
-        t_occ_ctor += now_s() - tc;
-        double tr = now_s();
         double occ_w = run_phase(occ_sys, "fwrite", chunk, total);
         double occ_r = run_phase(occ_sys, "fread", chunk, 0);
-        t_occ_run += now_s() - tr;
 
         double r_ovh = 1.0 - occ_r / linux_r;
         double w_ovh = 1.0 - occ_w / linux_w;
@@ -114,6 +103,5 @@ main()
     report.add("mean", "write_overhead_pct",
                100 * write_overhead.mean());
     report.write();
-    std::printf("PROF build=%.3f linux=%.3f occ_ctor=%.3f occ_run=%.3f\n", t_build, t_linux, t_occ_ctor, t_occ_run);
     return 0;
 }

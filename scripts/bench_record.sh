@@ -33,6 +33,7 @@ BENCHES=(
     bench_ablation_optimizations
     bench_attested_rpc
     bench_smp
+    bench_ripe_security
 )
 
 cmake -B "$BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=Release
@@ -49,6 +50,11 @@ cmake --build "$BUILD_DIR" -j "$(nproc)" --target "${TARGETS[@]}"
 mkdir -p "$OUT_DIR"
 {
     echo "commit: $(git rev-parse HEAD 2>/dev/null || echo unknown)"
+    if git diff --quiet HEAD -- 2>/dev/null; then
+        echo "tree:   clean"
+    else
+        echo "tree:   uncommitted changes on top of commit"
+    fi
     echo "date:   $(date -u +%Y-%m-%dT%H:%M:%SZ)"
     echo "host:   $(uname -srm)"
     echo "filter: $FILTER"

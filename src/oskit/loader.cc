@@ -82,7 +82,9 @@ load_image(vm::AddressSpace &space, const oelf::Image &image,
         OCC_CHECK(space.write_raw(domain.c_begin, code.data(),
                                   code.size()) == vm::AccessFault::kNone);
     }
-    space.touch_code();
+    // No touch_code(): zero_raw/write_raw above advance the code
+    // generation exactly when the slot's old code was fetched under
+    // the current one, so a fresh slot leaves other SIPs' blocks alone.
 
     // Initialized data after the PCB.
     if (!image.data.empty()) {

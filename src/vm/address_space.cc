@@ -150,7 +150,7 @@ AddressSpace::access(uint64_t addr, void *buf, uint64_t len, uint8_t require)
                 materialize(*page);
             }
             std::memcpy(page->data.get() + (addr & kPageMask), buf, len);
-            if (page->perms & kPermX) {
+            if (holds_live_code(*page)) {
                 touch_code();
             }
         } else {
@@ -169,7 +169,8 @@ AddressSpace::access(uint64_t addr, void *buf, uint64_t len, uint8_t require)
     bool wrote_exec = false;
     // Even a faulting multi-page write has already modified the pages
     // before the fault, so the generation bump must happen on every
-    // exit path, not only on success.
+    // exit path, not only on success. Every page's stamp is read
+    // before that single bump.
     auto finish = [&](AccessFault f) {
         if (Write && wrote_exec) {
             touch_code();
@@ -194,7 +195,7 @@ AddressSpace::access(uint64_t addr, void *buf, uint64_t len, uint8_t require)
                 materialize(*page);
             }
             std::memcpy(page->data.get() + (a & kPageMask), out + done, n);
-            wrote_exec = wrote_exec || (page->perms & kPermX);
+            wrote_exec = wrote_exec || holds_live_code(*page);
         } else {
             if (!page->data) {
                 std::memset(out + done, 0, n);
@@ -205,9 +206,10 @@ AddressSpace::access(uint64_t addr, void *buf, uint64_t len, uint8_t require)
         }
         done += n;
     }
-    // Writes into executable pages (guest stores through an RWX
-    // mapping, loader/debugger pokes via write_raw) invalidate
-    // predecoded blocks covering those bytes.
+    // Writes into executable pages that were fetched under the
+    // current generation (guest stores through an RWX mapping,
+    // loader/debugger pokes via write_raw) invalidate predecoded
+    // blocks covering those bytes.
     return finish(AccessFault::kNone);
 }
 
@@ -225,10 +227,17 @@ AddressSpace::write(uint64_t addr, const void *in, uint64_t len)
 }
 
 AccessFault
-AddressSpace::fetch(uint64_t addr, void *out, uint64_t len) const
+AddressSpace::fetch(uint64_t addr, void *out, uint64_t len)
 {
-    return const_cast<AddressSpace *>(this)->access<false>(addr, out, len,
-                                                           kPermX);
+    AccessFault fault = access<false>(addr, out, len, kPermX);
+    // Stamp every page the window touches, even on a fault: an extra
+    // stamp only costs a later bump, a missing one would be unsound.
+    for (uint64_t a = addr & ~kPageMask; a < addr + len; a += kPageSize) {
+        if (Page *page = lookup_page(a / kPageSize)) {
+            page->fetched_gen = code_generation_;
+        }
+    }
+    return fault;
 }
 
 AccessFault
@@ -263,7 +272,7 @@ AddressSpace::zero_raw(uint64_t addr, uint64_t len)
         if (page->data) {
             // Materialized page: clear just the requested span.
             std::memset(page->data.get() + (a & kPageMask), 0, n);
-            wrote_exec = wrote_exec || (page->perms & kPermX);
+            wrote_exec = wrote_exec || holds_live_code(*page);
         }
         // Lazy pages are already logically zero: nothing to do, and
         // crucially no backing store is allocated, so zero-filling a

@@ -72,7 +72,9 @@ class AddressSpace
     // ---- checked accessors used by the CPU --------------------------
     AccessFault read(uint64_t addr, void *out, uint64_t len) const;
     AccessFault write(uint64_t addr, const void *in, uint64_t len);
-    AccessFault fetch(uint64_t addr, void *out, uint64_t len) const;
+    /** Instruction fetch; stamps every page it touches (see
+     *  touch_code). */
+    AccessFault fetch(uint64_t addr, void *out, uint64_t len);
 
     /**
      * Width-templated single-access fast paths used by the superblock
@@ -81,9 +83,10 @@ class AddressSpace
      * common in-page access never leaves the caller's frame. An
      * access that straddles a page boundary falls back to the generic
      * path. Coherence is identical to read()/write() — in particular
-     * a write into an executable page advances the code-generation
-     * counter, which is what lets folded guards stay sound: the trace
-     * re-checks the generation after every store.
+     * a write into an executable page that was fetched under the
+     * current code generation advances the counter, which is what
+     * lets folded guards stay sound: the trace re-checks the
+     * generation after every store.
      */
     template <uint64_t N>
     AccessFault
@@ -125,7 +128,7 @@ class AddressSpace
                 materialize(*page);
             }
             std::memcpy(page->data.get() + (addr & kPageMask), in, N);
-            if (page->perms & kPermX) {
+            if (holds_live_code(*page)) {
                 touch_code();
             }
             return AccessFault::kNone;
@@ -146,10 +149,18 @@ class AddressSpace
 
     /**
      * Bump the generation counter (invalidates CPU block/decode
-     * caches). The counter also advances automatically on any write
-     * into an executable page and on map/protect/unmap operations
+     * caches). The counter also advances automatically on a write
+     * into an executable page that an instruction fetch read under
+     * the current generation, and on map/protect/unmap operations
      * that add or remove X permission, so callers only need this for
      * out-of-band modifications (e.g. tests poking at raw pages).
+     *
+     * Why a write to an X page that was not fetched under the current
+     * generation may skip the bump: every cached block, superblock,
+     * and successor link is used only while its generation equals the
+     * current one, and every byte a block of generation G holds came
+     * from a fetch() made at G, which stamped the page with G. A page
+     * whose stamp is older is therefore covered by no usable block.
      */
     void touch_code() { ++code_generation_; }
     uint64_t code_generation() const { return code_generation_; }
@@ -165,7 +176,17 @@ class AddressSpace
     struct Page {
         std::unique_ptr<uint8_t[]> data;
         uint8_t perms = kPermNone;
+        /** Code generation of the last fetch() that read this page
+         *  (~0: never fetched). */
+        uint64_t fetched_gen = ~0ull;
     };
+
+    /** True if a write to `page` may change a usable cached block. */
+    bool
+    holds_live_code(const Page &page) const
+    {
+        return (page.perms & kPermX) && page.fetched_gen == code_generation_;
+    }
 
     /**
      * Direct-mapped software TLB over the page table. Entries cache

@@ -18,8 +18,9 @@
  * own, differently-decoded block — the overlapping-instruction
  * semantics that make the disassembly problem real are preserved.
  * Blocks are invalidated by the AddressSpace generation counter,
- * which now advances automatically on writes to executable pages and
- * on mapping-permission changes involving X. Cycle accounting is
+ * which advances automatically on writes to executable pages that an
+ * instruction fetch read under the current generation, and on
+ * mapping-permission changes involving X. Cycle accounting is
  * identical with the cache on or off: the same per-instruction
  * isa::cycle_cost is charged by the shared execute step.
  *

@@ -1074,9 +1074,9 @@ Cpu::exec_superblock(const Superblock &sb, uint64_t max_instructions,
             flush();
             return SbResult::kExit;
         }
-        // Self-modifying code: a store into an executable page
-        // advanced the generation — the rest of this trace may be
-        // stale. Demote to tier 1 at the next instruction.
+        // Self-modifying code: a store into a page fetched under
+        // this generation advanced it — the rest of this trace may
+        // be stale. Demote to tier 1 at the next instruction.
         if (mem.code_generation() != sb.generation) {
             state_.rip = op->next_rip;
             flush();

@@ -10,6 +10,7 @@
 #include "baseline/eip_system.h"
 #include "libos/occlum_system.h"
 #include "toolchain/minic.h"
+#include "trace/metrics.h"
 #include "verifier/verifier.h"
 
 namespace occlum::libos {
@@ -290,6 +291,62 @@ func main() {
 )"),
               0);
     EXPECT_EQ(h.sys->free_slots(), 2);
+}
+
+TEST(Occlum, SpawnIntoFreshSlotKeepsOtherSipsBlocks)
+{
+    // All SIPs share one enclave address space. Loading a SIP into a
+    // slot whose pages no instruction fetch has read cannot change any
+    // usable cached block, so it must not advance the code generation.
+    OcclumHarness h(2);
+    auto &invalidations =
+        trace::Registry::instance().counter("vm.block_cache.invalidations");
+    h.add_program("child", R"(
+func main() {
+    var s = 0;
+    var i = 0;
+    while (i < 50) { s = s + i; i = i + 1; }
+    return s - 1225;
+}
+)");
+    const uint64_t gen = h.sys->enclave().mem().code_generation();
+    const uint64_t inval = invalidations.value();
+    // The parent warms its blocks, spawns the child into the second
+    // (never used) slot, and reruns the same loop.
+    EXPECT_EQ(h.run_main(R"(
+global byte path[16] = "child";
+func work() {
+    var s = 0;
+    var i = 0;
+    while (i < 200) { s = s + i * 3; i = i + 1; }
+    return s;
+}
+func main() {
+    var before = work();
+    var argvv[1];
+    argvv[0] = path;
+    var pid = spawn(path, argvv, 1);
+    if (pid < 0) { return 1; }
+    if (waitpid(pid) != 0) { return 2; }
+    if (work() != before) { return 3; }
+    return 0;
+}
+)"),
+              0);
+    EXPECT_EQ(h.sys->enclave().mem().code_generation(), gen);
+    EXPECT_EQ(invalidations.value(), inval);
+
+    // Reusing the parent's slot, whose code ran under the current
+    // generation, must still invalidate, and the new SIP runs its own
+    // code rather than stale blocks of the old one.
+    h.add_program("seven", "func main() { return 7; }");
+    auto pid = h.sys->spawn("seven", {"seven"});
+    ASSERT_TRUE(pid.ok());
+    EXPECT_GT(h.sys->enclave().mem().code_generation(), gen);
+    h.sys->run();
+    auto code = h.sys->exit_code(pid.value());
+    ASSERT_TRUE(code.ok());
+    EXPECT_EQ(code.value(), 7);
 }
 
 TEST(Occlum, SpawnCostScalesWithBinarySizeNotEnclaveCreation)

@@ -31,6 +31,14 @@ struct ProgramCase {
     const char *source;
 };
 
+// Without this gtest prints the struct's raw bytes, i.e. the string
+// pointers, so the discovered ctest names would change with ASLR.
+void
+PrintTo(const ProgramCase &c, std::ostream *os)
+{
+    *os << c.name;
+}
+
 class InstrumentEquivalence
     : public ::testing::TestWithParam<ProgramCase>
 {

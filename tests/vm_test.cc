@@ -7,7 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <tuple>
 
+#include "base/rng.h"
 #include "isa/assembler.h"
 #include "vm/address_space.h"
 #include "vm/cpu.h"
@@ -491,7 +493,8 @@ TEST(BlockCache, WriteToCodePageInvalidatesWithoutTouchCode)
     EXPECT_EQ(h.cpu.reg(1), 1u);
 
     // Rewrite the code bytes *without* calling touch_code: the write
-    // into an executable page must advance the generation by itself.
+    // into the executable page the code just ran from must advance
+    // the generation by itself.
     isa::Assembler b(kCode);
     b.mov_ri(1, 2);
     b.ltrap();
@@ -686,6 +689,162 @@ TEST(BlockCache, CfiLabelStartsANewBlock)
     EXPECT_EQ(h.cpu.run(100).kind, ExitKind::kLtrap);
     EXPECT_EQ(h.cpu.instructions() - before, 3u); // cfi, mov, ltrap
     EXPECT_EQ(h.cpu.block_cache_misses(), 2u);    // no new decode
+}
+
+// ---- fetch-stamped invalidation ---------------------------------------
+//
+// A write into an executable page advances the code generation only
+// when an instruction fetch read that page under the current
+// generation: no usable block can hold bytes from any other page.
+
+/** `mov r1, value; ltrap` assembled at kCode. */
+Bytes
+mov_r1_program(int64_t value)
+{
+    isa::Assembler a(kCode);
+    a.mov_ri(1, value);
+    a.ltrap();
+    return a.finish();
+}
+
+/** Run from kCode to the ltrap; returns r1. */
+uint64_t
+run_from_code(VmHarness &h)
+{
+    h.cpu.set_rip(kCode);
+    EXPECT_EQ(h.cpu.run(100).kind, ExitKind::kLtrap);
+    return h.cpu.reg(1);
+}
+
+/** Install `mov r1, 1; ltrap` at kCode and run it once. */
+void
+load_and_run_mov_r1(VmHarness &h)
+{
+    Bytes code = mov_r1_program(1);
+    ASSERT_EQ(h.space.write_raw(kCode, code.data(), code.size()),
+              AccessFault::kNone);
+    h.space.touch_code();
+    EXPECT_EQ(run_from_code(h), 1u);
+}
+
+TEST(FetchStamp, WriteToPageFetchedBeforeAnUnrelatedBumpKeepsGeneration)
+{
+    VmHarness h;
+    load_and_run_mov_r1(h); // the code page is stamped with G
+
+    h.space.touch_code(); // unrelated bump to G+1
+    const uint64_t gen = h.space.code_generation();
+    Bytes code = mov_r1_program(2);
+    ASSERT_EQ(h.space.write_raw(kCode, code.data(), code.size()),
+              AccessFault::kNone);
+    EXPECT_EQ(h.space.code_generation(), gen);
+
+    // The blocks of generation G are stale anyway: the rerun decodes
+    // the new bytes.
+    EXPECT_EQ(run_from_code(h), 2u);
+    EXPECT_GE(h.cpu.block_cache_invalidations(), 1u);
+}
+
+TEST(FetchStamp, WriteAfterRedecodeUnderNewGenerationBumps)
+{
+    VmHarness h;
+    load_and_run_mov_r1(h);
+    h.space.touch_code();
+    EXPECT_EQ(run_from_code(h), 1u); // re-decoded: stamped with G+1
+
+    const uint64_t gen = h.space.code_generation();
+    Bytes code = mov_r1_program(3);
+    ASSERT_EQ(h.space.write_raw(kCode, code.data(), code.size()),
+              AccessFault::kNone);
+    EXPECT_EQ(h.space.code_generation(), gen + 1);
+    EXPECT_EQ(run_from_code(h), 3u);
+}
+
+TEST(FetchStamp, MultiPageWritesBumpWhenAnyPageWasFetched)
+{
+    VmHarness h;
+    // Two executable pages after the code page that no fetch reads.
+    ASSERT_TRUE(h.space.map(kCode + 0x1000, 0x2000, kPermRX).ok());
+    load_and_run_mov_r1(h);
+    uint64_t gen = h.space.code_generation();
+    const uint64_t v = 0x1122334455667788ull;
+
+    // Unfetched | unfetched: no usable block covers either page.
+    ASSERT_EQ(h.space.write_raw(kCode + 0x1ffc, &v, 8), AccessFault::kNone);
+    EXPECT_EQ(h.space.code_generation(), gen);
+
+    // Fetched | unfetched: exactly one bump.
+    ASSERT_EQ(h.space.write_raw(kCode + 0xffc, &v, 8), AccessFault::kNone);
+    EXPECT_EQ(h.space.code_generation(), gen + 1);
+
+    // A write that faults on its second page has already modified the
+    // fetched first page, so it still bumps.
+    ASSERT_TRUE(h.space.protect(kCode, 0x1000, kPermRWX).ok());
+    EXPECT_EQ(run_from_code(h), 1u); // re-stamp under the new generation
+    gen = h.space.code_generation();
+    EXPECT_EQ(h.space.write(kCode + 0xffc, &v, 8), AccessFault::kNoWrite);
+    EXPECT_EQ(h.space.code_generation(), gen + 1);
+    uint32_t head = 0;
+    ASSERT_EQ(h.space.read_raw(kCode + 0xffc, &head, 4), AccessFault::kNone);
+    EXPECT_EQ(head, 0x55667788u);
+}
+
+TEST(FetchStamp, InstructionStraddlingPagesStampsBothPages)
+{
+    // `jmp_reg r2` sits on the last byte of the code page, so its
+    // register operand is the only byte ever fetched from the next
+    // page. Patching that byte must still invalidate the block.
+    VmHarness h;
+    ASSERT_TRUE(h.space.map(kCode + 0x1000, 0x1000, kPermRX).ok());
+    size_t jmp_len = encoded_len([](isa::Assembler &a) { a.jmp_reg(2); });
+    ASSERT_EQ(jmp_len, 2u);
+    isa::Assembler a(kCode);
+    a.mov_rl(2, "two");
+    a.mov_rl(3, "three");
+    a.jmp("tail");
+    a.bind("two");
+    a.mov_ri(1, 2);
+    a.ltrap();
+    a.bind("three");
+    a.mov_ri(1, 3);
+    a.ltrap();
+    a.raw(Bytes(0x1000 - 1 - a.size_estimate(), 0));
+    a.bind("tail");
+    a.jmp_reg(2);
+    Bytes code = a.finish();
+    ASSERT_EQ(h.space.write_raw(kCode, code.data(), code.size()),
+              AccessFault::kNone);
+    h.space.touch_code();
+    EXPECT_EQ(run_from_code(h), 2u);
+
+    const uint64_t gen = h.space.code_generation();
+    const uint8_t r3 = 3;
+    ASSERT_EQ(h.space.write_raw(kCode + 0x1000, &r3, 1), AccessFault::kNone);
+    EXPECT_EQ(h.space.code_generation(), gen + 1);
+    EXPECT_EQ(run_from_code(h), 3u);
+}
+
+TEST(FetchStamp, ZeroRawOverFetchedMaterializedCodeBumps)
+{
+    VmHarness h;
+    ASSERT_TRUE(h.space.map(kCode + 0x1000, 0x1000, kPermRX).ok());
+    load_and_run_mov_r1(h);
+    const uint64_t v = ~0ull;
+    ASSERT_EQ(h.space.write_raw(kCode + 0x1000, &v, 8), AccessFault::kNone);
+    const uint64_t gen = h.space.code_generation();
+
+    // A materialized page that was never fetched: no bump.
+    ASSERT_EQ(h.space.zero_raw(kCode + 0x1000, 0x1000), AccessFault::kNone);
+    EXPECT_EQ(h.space.code_generation(), gen);
+
+    // The fetched code page: one bump, and the zeros (nops) run
+    // instead of the cached `mov r1, 1`.
+    ASSERT_EQ(h.space.zero_raw(kCode, 0x1000), AccessFault::kNone);
+    EXPECT_EQ(h.space.code_generation(), gen + 1);
+    h.cpu.set_reg(1, 99);
+    h.cpu.set_rip(kCode);
+    EXPECT_EQ(h.cpu.run(4).kind, ExitKind::kInstrBudget);
+    EXPECT_EQ(h.cpu.reg(1), 99u);
 }
 
 // ---- superblock tier (tier 2) -----------------------------------------
@@ -1196,6 +1355,294 @@ TEST_F(Superblock, OverlappingDecodesPromoteIndependently)
     EXPECT_GE(h.cpu.superblock_promotions(), 2u);
     EXPECT_GE(h.cpu.superblock_count(), 2u);
     EXPECT_EQ(h.cpu.superblock_invalidations(), 0u);
+}
+
+TEST_F(Superblock, StoresIntoUnfetchedRwxDataKeepCodeGeneration)
+{
+    // The EIP baseline's layout: code runs from an RX page, and the
+    // data region is an RWX pool that no instruction fetch reads.
+    // Stores into that pool through every store path (tier-1 write,
+    // write_fast, a promoted trace's StoreChk) must leave the code
+    // generation, and so every cached block and trace, alone.
+    VmHarness h;
+    ASSERT_TRUE(h.space.protect(kData, 0x1000, kPermRWX).ok());
+    isa::Assembler a(kCode);
+    a.mov_ri(2, 100);
+    a.mov_ri(3, static_cast<int64_t>(kData));
+    a.bind("loop");
+    a.mem_guard(mem_bd(3, 0));
+    a.store(mem_bd(3, 0), 2); // fused into a StoreChk once promoted
+    a.sub_ri(2, 1);
+    a.cmp_ri(2, 0);
+    a.jcc(Cond::kNe, "loop");
+    a.ltrap();
+    Bytes code = a.finish();
+    ASSERT_EQ(h.space.write_raw(kCode, code.data(), code.size()),
+              AccessFault::kNone);
+    h.space.touch_code();
+    const uint64_t gen = h.space.code_generation();
+
+    h.cpu.set_rip(kCode);
+    EXPECT_EQ(h.cpu.run(1'000'000).kind, ExitKind::kLtrap);
+    EXPECT_GE(h.cpu.superblock_exec_hits(), 1u);
+    EXPECT_GE(h.cpu.superblock_guards_folded(), 1u);
+    uint64_t last = 0;
+    ASSERT_EQ(h.space.read(kData, &last, 8), AccessFault::kNone);
+    EXPECT_EQ(last, 1u);
+
+    const uint64_t v = 7;
+    EXPECT_EQ(h.space.write(kData + 8, &v, 8), AccessFault::kNone);
+    EXPECT_EQ(h.space.write_fast<8>(kData + 16, &v), AccessFault::kNone);
+    EXPECT_EQ(h.space.code_generation(), gen);
+    EXPECT_EQ(h.cpu.block_cache_invalidations(), 0u);
+    EXPECT_EQ(h.cpu.superblock_invalidations(), 0u);
+}
+
+// ---- differential self-modifying-code oracle ----------------------------
+//
+// Seeded random programs on a data_rwx-style layout (code and data
+// both RWX) that patch immediates of code that already ran, patch
+// code that has not run yet, and store to plain data. The decode
+// loop, the block cache, and the superblock tier must agree on
+// CpuState, cycles, instruction count, and exit at every quantum.
+
+/** Code spans two RWX pages: the hot loop, then a cold routine. */
+constexpr uint64_t kSmcCold = kCode + 0x1000;
+
+/**
+ * One seeded self-modifying program. Registers: r0 holds patch
+ * addresses, r1..r5 carry values, r6 is the data base, r7 counts loop
+ * iterations down. Only r1..r5 are ALU destinations and only their
+ * immediates are patched, so control flow stays well formed whatever
+ * the patches write.
+ */
+Bytes
+smc_program(uint64_t seed)
+{
+    Rng rng(seed);
+    isa::Assembler a(kCode);
+    auto value_reg = [&] {
+        return static_cast<uint8_t>(1 + rng.next_below(5));
+    };
+    int labels = 0;
+    auto fresh = [&](const char *stem) {
+        return std::string(stem) + std::to_string(labels++);
+    };
+
+    // A patchable immediate starts 2 bytes into its instruction.
+    struct Site {
+        std::string label;
+        uint64_t imm_bytes;
+    };
+    std::vector<Site> sites;
+    auto alu = [&] {
+        uint8_t rd = value_reg();
+        switch (rng.next_below(8)) {
+          case 0: {
+            sites.push_back({fresh("site"), 8});
+            a.bind(sites.back().label);
+            a.mov_ri(rd, static_cast<int64_t>(rng.next()));
+            break;
+          }
+          case 1: case 2: case 3: {
+            sites.push_back({fresh("site"), 4});
+            a.bind(sites.back().label);
+            auto imm = static_cast<int32_t>(rng.next_range(-999, 999));
+            switch (rng.next_below(4)) {
+              case 0: a.add_ri(rd, imm); break;
+              case 1: a.xor_ri(rd, imm); break;
+              case 2: a.mul_ri(rd, imm); break;
+              default: a.or_ri(rd, imm); break;
+            }
+            break;
+          }
+          case 4: a.add_rr(rd, value_reg()); break;
+          case 5: a.sub_rr(rd, value_reg()); break;
+          case 6:
+            a.shr_ri(rd, static_cast<uint8_t>(rng.next_below(13)));
+            break;
+          default: a.rdcycle(rd); break;
+        }
+    };
+    // A patch stores 1 or 4 bytes of a value register into some site's
+    // immediate. The site is picked once every site exists, so a patch
+    // may target code that runs before it, after it, or never.
+    std::vector<std::pair<std::string, uint8_t>> patches; // label, width
+    auto patch = [&] {
+        patches.push_back({fresh("patch"), rng.next_below(2) ? 4 : 1});
+        a.mov_rl(0, patches.back().first);
+        if (patches.back().second == 4) {
+            a.store32(mem_bd(0, 0), value_reg());
+        } else {
+            a.store8(mem_bd(0, 0), value_reg());
+        }
+    };
+    auto data = [&] {
+        return mem_bd(6, static_cast<int32_t>(rng.next_below(kPageSize - 8)));
+    };
+
+    const int iterations = static_cast<int>(rng.next_range(30, 90));
+    a.mov_ri(7, iterations);
+    a.mov_ri(6, static_cast<int64_t>(kData));
+    for (uint8_t r = 1; r <= 5; ++r) {
+        a.mov_ri(r, static_cast<int64_t>(rng.next()));
+    }
+    a.bind("loop");
+    const int n_hot = static_cast<int>(rng.next_range(6, 18));
+    for (int i = 0; i < n_hot; ++i) {
+        auto gate = static_cast<int32_t>(rng.next_range(1, iterations));
+        switch (rng.next_below(8)) {
+          case 0: case 1: alu(); break;
+          case 2: a.load(value_reg(), data()); break;
+          case 3:
+            // Plain data stores into the RWX data page.
+            if (rng.next_below(2)) {
+                a.store(data(), value_reg());
+            } else {
+                a.push(value_reg());
+                a.pop(value_reg());
+            }
+            break;
+          case 4: case 5: patch(); break;
+          case 6: {
+            // First (and only) run at iteration `gate`: code that
+            // earlier patches may rewrite before it ever executes.
+            std::string skip = fresh("skip");
+            a.cmp_ri(7, gate);
+            a.jcc(Cond::kNe, skip);
+            alu();
+            patch();
+            a.bind(skip);
+            break;
+          }
+          default: {
+            // From iteration `gate` down, call the cold routine.
+            std::string skip = fresh("skip");
+            a.cmp_ri(7, gate);
+            a.jcc(Cond::kGt, skip);
+            a.call("cold");
+            a.bind(skip);
+            break;
+          }
+        }
+    }
+    a.sub_ri(7, 1);
+    a.cmp_ri(7, 0);
+    a.jcc(Cond::kNe, "loop");
+    a.ltrap();
+    EXPECT_LE(a.size_estimate(), kSmcCold - kCode);
+    a.raw(Bytes(kSmcCold - kCode - a.size_estimate(), 0));
+    a.bind("cold");
+    for (int i = static_cast<int>(rng.next_range(2, 6)); i > 0; --i) {
+        alu();
+    }
+    a.ret();
+    if (sites.empty()) {
+        // Unreachable: gives the patches a target.
+        sites.push_back({fresh("site"), 8});
+        a.bind(sites.back().label);
+        a.mov_ri(1, 0);
+    }
+    for (const auto &[label, width] : patches) {
+        const Site &site = sites[rng.next_below(sites.size())];
+        a.define_value(label, a.label_offset(site.label) + 2 +
+                                  rng.next_below(site.imm_bytes - width + 1));
+    }
+    return a.finish();
+}
+
+/** One tier configuration of the data_rwx-style machine. */
+struct SmcMachine {
+    AddressSpace space;
+    Cpu cpu{space};
+
+    SmcMachine(const Bytes &code, bool block_cache, bool superblock)
+    {
+        EXPECT_TRUE(space.map(kCode, 0x2000, kPermRWX).ok());
+        EXPECT_TRUE(space.map(kData, 0x1000, kPermRWX).ok());
+        EXPECT_TRUE(space.map(kStackTop - 0x2000, 0x2000, kPermRW).ok());
+        EXPECT_EQ(space.write_raw(kCode, code.data(), code.size()),
+                  AccessFault::kNone);
+        cpu.set_block_cache_enabled(block_cache);
+        cpu.set_superblock_enabled(superblock);
+        cpu.set_sp(kStackTop - 8);
+        cpu.set_rip(kCode);
+    }
+};
+
+void
+expect_same_state(const SmcMachine &ref, const SmcMachine &m,
+                  const char *tier)
+{
+    const CpuState &x = ref.cpu.state();
+    const CpuState &y = m.cpu.state();
+    EXPECT_EQ(x.regs, y.regs) << tier;
+    EXPECT_EQ(x.rip, y.rip) << tier;
+    EXPECT_EQ(x.flags.zf, y.flags.zf) << tier;
+    EXPECT_EQ(x.flags.sf, y.flags.sf) << tier;
+    EXPECT_EQ(x.flags.cf, y.flags.cf) << tier;
+    EXPECT_EQ(x.flags.of, y.flags.of) << tier;
+    for (int b = 0; b < isa::kNumBndRegs; ++b) {
+        EXPECT_EQ(x.bnds[b].lo, y.bnds[b].lo) << tier;
+        EXPECT_EQ(x.bnds[b].hi, y.bnds[b].hi) << tier;
+    }
+    EXPECT_EQ(ref.cpu.cycles(), m.cpu.cycles()) << tier;
+    EXPECT_EQ(ref.cpu.instructions(), m.cpu.instructions()) << tier;
+}
+
+TEST_F(Superblock, SelfModifyingProgramsAgreeAcrossTiers)
+{
+    constexpr uint64_t kSeeds = 48;
+    uint64_t block_invalidations = 0;
+    uint64_t trace_hits = 0;
+    for (uint64_t seed = 1; seed <= kSeeds; ++seed) {
+        SCOPED_TRACE(testing::Message() << "seed " << seed);
+        Bytes code = smc_program(seed);
+        SmcMachine decode(code, false, false);
+        SmcMachine block(code, true, false);
+        SmcMachine trace(code, true, true);
+        Rng slices(seed ^ 0x5eedull);
+        CpuExit exit;
+        int slice = 0;
+        do {
+            ASSERT_LT(++slice, 10'000) << "program did not finish";
+            uint64_t budget = 1 + slices.next_below(
+                                      slices.next_below(4) ? 40 : 2000);
+            exit = decode.cpu.run(budget);
+            CpuExit b = block.cpu.run(budget);
+            CpuExit t = trace.cpu.run(budget);
+            for (auto [m, e, tier] :
+                 {std::tuple{&block, &b, "block cache"},
+                  std::tuple{&trace, &t, "superblock"}}) {
+                ASSERT_EQ(e->kind, exit.kind) << tier << " slice " << slice;
+                EXPECT_EQ(e->fault, exit.fault) << tier;
+                EXPECT_EQ(e->fault_addr, exit.fault_addr) << tier;
+                EXPECT_EQ(e->rip, exit.rip) << tier;
+                expect_same_state(decode, *m, tier);
+            }
+            if (HasFailure()) {
+                return;
+            }
+        } while (exit.kind == ExitKind::kInstrBudget);
+        EXPECT_EQ(exit.kind, ExitKind::kLtrap);
+
+        // The patched code and the data page end up identical too.
+        auto memory = [](SmcMachine &m) {
+            Bytes bytes(0x3000);
+            EXPECT_EQ(m.space.read_raw(kCode, bytes.data(), 0x2000),
+                      AccessFault::kNone);
+            EXPECT_EQ(m.space.read_raw(kData, bytes.data() + 0x2000, 0x1000),
+                      AccessFault::kNone);
+            return bytes;
+        };
+        EXPECT_TRUE(memory(block) == memory(decode));
+        EXPECT_TRUE(memory(trace) == memory(decode));
+        block_invalidations += block.cpu.block_cache_invalidations();
+        trace_hits += trace.cpu.superblock_exec_hits();
+    }
+    // The generator really exercises the invalidation surface.
+    EXPECT_GT(block_invalidations, kSeeds);
+    EXPECT_GT(trace_hits, kSeeds);
 }
 
 } // namespace
