@@ -19,14 +19,16 @@
  * kernel with runtime tracing off vs on. Tracing never advances the
  * SimClock, so the simulated cycle counts must be bit-identical
  * (asserted); the wall-clock delta is the real cost of the hooks.
+ * Later tables ablate the other wall-clock-only devices the same way
+ * (interpreter tiers, crypto data plane, SHA-256 kernel, faultsim).
  */
 #include "bench/bench_util.h"
 
 #include <chrono>
 #include <memory>
 
-#include "crypto/aes.h"
 #include "crypto/hmac.h"
+#include "crypto/mode.h"
 #include "faultsim/faultsim.h"
 #include "libos/encfs.h"
 #include "trace/trace.h"
@@ -158,9 +160,9 @@ measure_encfs_crypto(bool ttable, bool midstate, size_t readahead,
 
     TracedMeasure best;
     best.wall_ms = 1e18;
-    bool saved_ref = crypto::Aes128::reference_mode();
+    bool saved_ref = crypto::reference_mode();
     bool saved_mid = crypto::HmacKey::midstate_enabled();
-    crypto::Aes128::set_reference_mode(!ttable);
+    crypto::set_reference_mode(!ttable);
     crypto::HmacKey::set_midstate_enabled(midstate);
 
     Bytes chunk(kChunk);
@@ -203,9 +205,53 @@ measure_encfs_crypto(bool ttable, bool midstate, size_t readahead,
             std::chrono::duration<double, std::milli>(t1 - t0).count();
         best.wall_ms = std::min(best.wall_ms, ms);
     }
-    crypto::Aes128::set_reference_mode(saved_ref);
+    crypto::set_reference_mode(saved_ref);
     crypto::HmacKey::set_midstate_enabled(saved_mid);
     return best;
+}
+
+struct MeasurementRun {
+    Aggregate wall_ms;
+    uint64_t sim_cycles = 0;
+    crypto::Sha256Digest mrenclave{};
+    crypto::Sha256Digest digest{};
+};
+
+/**
+ * N reps of the hashing an EIP spawn and an Occlum signature check
+ * pay on the host: EADD+EEXTEND of an EIP-sized 256 MiB reserve, then
+ * the content digest of a cc1-sized 14 MiB image, with the crypto
+ * reference mode (scalar SHA-256) on or off. The cost model charges
+ * per page, never per implementation, so every rep of both sides must
+ * produce the same measurement, digest and simulated cycles.
+ */
+MeasurementRun
+measure_enclave_hashing(const oelf::Image &image, bool reference, int reps)
+{
+    constexpr uint64_t kBase = 0x10000000;
+    constexpr uint64_t kReserve = 256ull << 20;
+    MeasurementRun run;
+    bool saved = crypto::reference_mode();
+    crypto::set_reference_mode(reference);
+    for (int i = 0; i < reps; ++i) {
+        sgx::Platform platform;
+        auto t0 = std::chrono::steady_clock::now();
+        sgx::Enclave enclave(platform, kBase, kReserve);
+        OCC_CHECK(enclave.measure_reserved(kReserve).ok());
+        OCC_CHECK(enclave.init().ok());
+        crypto::Sha256Digest digest = image.content_digest();
+        auto t1 = std::chrono::steady_clock::now();
+        OCC_CHECK(i == 0 || (run.sim_cycles == platform.clock().cycles() &&
+                             run.mrenclave == enclave.measurement() &&
+                             run.digest == digest));
+        run.sim_cycles = platform.clock().cycles();
+        run.mrenclave = enclave.measurement();
+        run.digest = digest;
+        run.wall_ms.add(
+            std::chrono::duration<double, std::milli>(t1 - t0).count());
+    }
+    crypto::set_reference_mode(saved);
+    return run;
 }
 
 struct FaultsimMeasure {
@@ -439,8 +485,10 @@ main()
 
     // ---- crypto data-plane ablation ----------------------------------
     // The same EncFs streaming workload under each data-plane device:
-    // reference AES + no HMAC midstates + no readahead, then each
-    // optimization stacked on. All of them are wall-clock-only — the
+    // reference crypto (scalar AES and scalar SHA-256) + no HMAC
+    // midstates + no readahead, then each optimization stacked on
+    // (the SHA-NI kernel, where the host has it, rides with T-table
+    // AES: both are the non-reference mode). All of them are wall-clock-only — the
     // cost model charges per byte moved, not per implementation — so
     // the simulated cycle counts must be bit-identical (asserted).
     struct CryptoRow {
@@ -451,9 +499,9 @@ main()
         size_t readahead;
     };
     const CryptoRow crypto_rows[] = {
-        {"reference (scalar AES, no midstate, no RA)", "crypto_reference",
-         false, false, 0},
-        {"+T-table AES", "crypto_ttable", true, false, 0},
+        {"reference (scalar AES+SHA, no midstate, no RA)",
+         "crypto_reference", false, false, 0},
+        {"+T-table AES (+SHA-NI)", "crypto_ttable", true, false, 0},
         {"+HMAC midstates", "crypto_midstate", true, true, 0},
         {"+readahead 8", "crypto_readahead", true, true, 8},
     };
@@ -484,6 +532,54 @@ main()
     }
     crypto_table.print();
     std::printf("simulated-cycle delta: 0 across all four configurations "
+                "(asserted)\n");
+
+    // ---- enclave-measurement ablation --------------------------------
+    // Scalar vs default SHA-256 under the hashing an EIP spawn and an
+    // Occlum signature check do: a 256 MiB reserve measurement plus a
+    // 14 MiB image digest. Wall time is reported as median/min/max of
+    // the reps; measurements, digests and simulated cycles must match.
+    oelf::Image big_image;
+    big_image.code.resize(14 << 20);
+    for (size_t i = 0; i < big_image.code.size(); ++i) {
+        big_image.code[i] = static_cast<uint8_t>(i * 131 + (i >> 12));
+    }
+    big_image.data.resize(64 << 10, 0x5a);
+    MeasurementRun measure_ref =
+        measure_enclave_hashing(big_image, true, kReps);
+    MeasurementRun measure_fast =
+        measure_enclave_hashing(big_image, false, kReps);
+    OCC_CHECK_MSG(measure_ref.mrenclave == measure_fast.mrenclave &&
+                      measure_ref.digest == measure_fast.digest,
+                  "the SHA-256 kernel must not change any digest");
+    OCC_CHECK_MSG(measure_ref.sim_cycles == measure_fast.sim_cycles,
+                  "the SHA-256 kernel must not perturb simulated cycles");
+    double measure_speedup =
+        measure_fast.wall_ms.p50() > 0
+            ? measure_ref.wall_ms.p50() / measure_fast.wall_ms.p50()
+            : 0.0;
+
+    Table measure_table("Ablation: enclave measurement "
+                        "(256 MiB reserve + 14 MiB OELF digest)");
+    measure_table.set_header({"SHA-256 kernel", "sim Mcycles",
+                              "wall ms (median)", "min", "max",
+                              "speedup"});
+    measure_table.add_row(
+        {"reference (scalar)",
+         format("%.2f", measure_ref.sim_cycles / 1e6),
+         format("%.2f", measure_ref.wall_ms.p50()),
+         format("%.2f", measure_ref.wall_ms.min()),
+         format("%.2f", measure_ref.wall_ms.max()), "baseline"});
+    measure_table.add_row(
+        {crypto::Sha256::hardware_supported() ? "default (SHA-NI)"
+                                              : "default (scalar: no SHA-NI)",
+         format("%.2f", measure_fast.sim_cycles / 1e6),
+         format("%.2f", measure_fast.wall_ms.p50()),
+         format("%.2f", measure_fast.wall_ms.min()),
+         format("%.2f", measure_fast.wall_ms.max()),
+         format("%.2fx", measure_speedup)});
+    measure_table.print();
+    std::printf("measurement, digest and simulated-cycle delta: 0 "
                 "(asserted)\n");
 
     // ---- faultsim ablation -------------------------------------------
@@ -704,6 +800,17 @@ main()
                    static_cast<double>(crypto_measures[i].sim_cycles -
                                        crypto_measures[0].sim_cycles));
     }
+    auto report_measure = [&](const char *key, const MeasurementRun &run) {
+        report.add(key, "wall_ms", run.wall_ms.p50());
+        report.add(key, "wall_ms_min", run.wall_ms.min());
+        report.add(key, "wall_ms_max", run.wall_ms.max());
+        report.add(key, "sim_cycle_delta",
+                   static_cast<double>(run.sim_cycles -
+                                       measure_ref.sim_cycles));
+    };
+    report_measure("measure_reference", measure_ref);
+    report_measure("measure_default", measure_fast);
+    report.add("measure_default", "wall_speedup", measure_speedup);
     report.add("faultsim_idle", "wall_ms", fault_idle.wall_ms);
     report.add("faultsim_armed", "wall_ms", fault_armed.wall_ms);
     report.add("faultsim_armed", "site_checks",

@@ -44,3 +44,11 @@ OCCLUM_CORES=4 "$BUILD_DIR/tests/epoll_test"
 # rebind code where a lifetime bug would hide, and any illegal
 # enclave transition panics instead of being counted.
 OCCLUM_ORDERLINESS=strict "$BUILD_DIR/tests/orderliness_test"
+
+# Extra leg: the scalar crypto kernels under the sanitizers. On hosts
+# with the SHA extensions the default run above hashes through the
+# SHA-NI kernel; reference mode forces scalar SHA-256 (and byte-wise
+# AES) through the measurement, OELF digest and signing paths.
+for t in crypto_test sgx_test toolchain_test verifier_test; do
+    OCCLUM_CRYPTO_REFERENCE=1 "$BUILD_DIR/tests/$t"
+done

@@ -1,7 +1,8 @@
 #include "crypto/aes.h"
 
-#include <cstdlib>
 #include <cstring>
+
+#include "crypto/mode.h"
 
 namespace occlum::crypto {
 
@@ -124,28 +125,7 @@ store_be32(uint8_t *p, uint32_t w)
     p[3] = uint8_t(w);
 }
 
-bool
-initial_reference_mode()
-{
-    const char *env = std::getenv("OCCLUM_CRYPTO_REFERENCE");
-    return env != nullptr && env[0] != '\0' && env[0] != '0';
-}
-
-bool g_reference_mode = initial_reference_mode();
-
 } // namespace
-
-void
-Aes128::set_reference_mode(bool reference)
-{
-    g_reference_mode = reference;
-}
-
-bool
-Aes128::reference_mode()
-{
-    return g_reference_mode;
-}
 
 Aes128::Aes128(const Key128 &key)
 {
@@ -170,7 +150,7 @@ Aes128::Aes128(const Key128 &key)
 void
 Aes128::encrypt_block(const uint8_t in[16], uint8_t out[16]) const
 {
-    if (g_reference_mode) {
+    if (reference_mode()) {
         encrypt_block_ref(in, out);
     } else {
         encrypt_block_tt(in, out);
@@ -297,7 +277,7 @@ Aes128::ctr_crypt(const std::array<uint8_t, 12> &iv, uint32_t counter0,
     uint32_t counter = counter0;
     size_t off = 0;
 
-    if (!g_reference_mode) {
+    if (!reference_mode()) {
         // Fast path: 4 counter blocks of keystream per iteration,
         // XORed 64 bits at a time (memcpy keeps it alignment-safe;
         // compilers lower it to plain loads/stores).

@@ -6,9 +6,18 @@
  * the compression function under HMAC. Tested against the FIPS/NIST
  * vectors in tests/crypto_test.cc.
  *
- * The compression loop is unrolled (8 rounds per step, no register
- * rotation chain) for throughput, and the hasher exposes a resumable
- * *midstate*: the 8-word chaining value at a 64-byte block boundary.
+ * update() hands every run of full 64-byte input blocks to one
+ * compress_blocks() call, which picks a kernel per call: the x86 SHA
+ * extensions (sha256rnds2/msg1/msg2) when cpuid reports them and the
+ * crypto-wide reference mode (crypto/mode.h) is off, else the scalar
+ * compression loop, unrolled 8 rounds per step with no register
+ * rotation chain. The SHA-NI kernel is compiled with a per-function
+ * target attribute, so the binary needs no global ISA flags and runs
+ * the scalar path on hosts without the extensions. Both kernels
+ * compute the same FIPS 180-4 function; tests assert them equal.
+ *
+ * The hasher exposes a resumable *midstate*: the 8-word chaining
+ * value at a 64-byte block boundary.
  * HmacKey caches the post-pad midstates so each MAC skips two
  * compressions, and sgx::Enclave resumes one persistent page hasher
  * from the initial midstate instead of constructing a hasher per
@@ -82,8 +91,12 @@ class Sha256
         return digest(data.data(), data.size());
     }
 
+    /** Whether cpuid reports the SHA extensions the fast kernel needs. */
+    static bool hardware_supported();
+
   private:
-    void compress(const uint8_t block[64]);
+    /** Absorb `n` consecutive 64-byte blocks. */
+    void compress_blocks(const uint8_t *data, size_t n);
 
     uint32_t state_[8];
     uint8_t buffer_[64];

@@ -52,6 +52,39 @@ class Reader
     size_t pos_ = 0;
 };
 
+/**
+ * Everything serialize() writes ahead of the code segment. The
+ * signature is written only when `with_signature` (and the image has
+ * one); the content digest hashes the header without it.
+ */
+Bytes
+header_bytes(const Image &image, bool with_signature)
+{
+    Bytes out;
+    out.insert(out.end(), std::begin(kMagic), std::end(kMagic));
+    put_le<uint32_t>(out, kVersion);
+    put_le<uint64_t>(out, image.entry_offset);
+    put_le<uint64_t>(out, image.code.size());
+    put_le<uint64_t>(out, image.data.size());
+    put_le<uint64_t>(out, image.bss_size);
+    put_le<uint64_t>(out, image.heap_size);
+    put_le<uint64_t>(out, image.stack_size);
+    put_le<uint64_t>(out, image.code_reserve);
+    put_le<uint32_t>(out, image.flags);
+    put_le<uint32_t>(out, static_cast<uint32_t>(image.symbols.size()));
+    for (const auto &sym : image.symbols) {
+        put_le<uint16_t>(out, static_cast<uint16_t>(sym.name.size()));
+        out.insert(out.end(), sym.name.begin(), sym.name.end());
+        put_le<uint64_t>(out, sym.offset);
+    }
+    bool sig = with_signature && image.has_signature;
+    out.push_back(sig ? 1 : 0);
+    if (sig) {
+        out.insert(out.end(), image.signature.begin(), image.signature.end());
+    }
+    return out;
+}
+
 } // namespace
 
 uint64_t
@@ -68,27 +101,8 @@ Image::find_symbol(const std::string &name) const
 Bytes
 Image::serialize() const
 {
-    Bytes out;
-    out.insert(out.end(), std::begin(kMagic), std::end(kMagic));
-    put_le<uint32_t>(out, kVersion);
-    put_le<uint64_t>(out, entry_offset);
-    put_le<uint64_t>(out, code.size());
-    put_le<uint64_t>(out, data.size());
-    put_le<uint64_t>(out, bss_size);
-    put_le<uint64_t>(out, heap_size);
-    put_le<uint64_t>(out, stack_size);
-    put_le<uint64_t>(out, code_reserve);
-    put_le<uint32_t>(out, flags);
-    put_le<uint32_t>(out, static_cast<uint32_t>(symbols.size()));
-    for (const auto &sym : symbols) {
-        put_le<uint16_t>(out, static_cast<uint16_t>(sym.name.size()));
-        out.insert(out.end(), sym.name.begin(), sym.name.end());
-        put_le<uint64_t>(out, sym.offset);
-    }
-    out.push_back(has_signature ? 1 : 0);
-    if (has_signature) {
-        out.insert(out.end(), signature.begin(), signature.end());
-    }
+    Bytes out = header_bytes(*this, true);
+    out.reserve(out.size() + code.size() + data.size());
     out.insert(out.end(), code.begin(), code.end());
     out.insert(out.end(), data.begin(), data.end());
     return out;
@@ -157,11 +171,13 @@ Image::parse(const Bytes &raw)
 crypto::Sha256Digest
 Image::content_digest() const
 {
-    // Hash a copy with the signature blanked so signing is stable.
-    Image unsigned_copy = *this;
-    unsigned_copy.has_signature = false;
-    unsigned_copy.signature = {};
-    return crypto::Sha256::digest(unsigned_copy.serialize());
+    // Stream the serialized image with the signature blanked, so
+    // signing is stable, without copying the image or its segments.
+    crypto::Sha256 hasher;
+    hasher.update(header_bytes(*this, false));
+    hasher.update(code);
+    hasher.update(data);
+    return hasher.finish();
 }
 
 void

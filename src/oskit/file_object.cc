@@ -1,6 +1,7 @@
 #include "oskit/file_object.h"
 
 #include <algorithm>
+#include <cstring>
 #include <utility>
 
 #include "oskit/kernel.h"
@@ -63,6 +64,40 @@ WaitQueue::remove_watch(EpollWatch *watch)
 }
 
 // ---------------------------------------------------------------------
+// Pipe
+// ---------------------------------------------------------------------
+
+size_t
+Pipe::pop(uint8_t *out, size_t len)
+{
+    size_t n = std::min(len, size_);
+    if (n == 0) {
+        return 0;
+    }
+    size_t first = std::min(n, kCapacity - head_);
+    std::memcpy(out, ring_.get() + head_, first);
+    std::memcpy(out + first, ring_.get(), n - first);
+    size_ -= n;
+    head_ = size_ == 0 ? 0 : (head_ + n) % kCapacity;
+    return n;
+}
+
+size_t
+Pipe::push(const uint8_t *in, size_t len)
+{
+    size_t n = std::min(len, kCapacity - size_);
+    if (n == 0) {
+        return 0;
+    }
+    size_t tail = (head_ + size_) % kCapacity;
+    size_t first = std::min(n, kCapacity - tail);
+    std::memcpy(ring_.get() + tail, in, first);
+    std::memcpy(ring_.get(), in + first, n - first);
+    size_ += n;
+    return n;
+}
+
+// ---------------------------------------------------------------------
 // PipeEnd
 // ---------------------------------------------------------------------
 
@@ -101,17 +136,13 @@ PipeEnd::read(Kernel &kernel, uint8_t *buf, uint64_t len)
     if (!read_end_) {
         return IoResult::err(ErrorCode::kBadF);
     }
-    if (pipe_->buffer.empty()) {
+    if (pipe_->size() == 0) {
         if (pipe_->writers == 0) {
             return IoResult::ok(0); // EOF
         }
         return IoResult::block();
     }
-    uint64_t n = std::min<uint64_t>(len, pipe_->buffer.size());
-    for (uint64_t i = 0; i < n; ++i) {
-        buf[i] = pipe_->buffer.front();
-        pipe_->buffer.pop_front();
-    }
+    uint64_t n = pipe_->pop(buf, len);
     kernel.charge(kernel.pipe_op_cost() +
                   static_cast<uint64_t>(n * kernel.pipe_byte_cost()));
     if (n > 0) {
@@ -130,12 +161,10 @@ PipeEnd::write(Kernel &kernel, const uint8_t *buf, uint64_t len)
     if (pipe_->readers == 0) {
         return IoResult::err(ErrorCode::kPipe);
     }
-    uint64_t room = Pipe::kCapacity - pipe_->buffer.size();
-    if (room == 0) {
+    if (!pipe_->can_write()) {
         return IoResult::block();
     }
-    uint64_t n = std::min<uint64_t>(len, room);
-    pipe_->buffer.insert(pipe_->buffer.end(), buf, buf + n);
+    uint64_t n = pipe_->push(buf, len);
     kernel.charge(kernel.pipe_op_cost() +
                   static_cast<uint64_t>(n * kernel.pipe_byte_cost()));
     if (n > 0) {
@@ -150,7 +179,7 @@ PipeEnd::poll_ready(Kernel &kernel)
     (void)kernel;
     uint64_t bits = 0;
     if (read_end_) {
-        if (!pipe_->buffer.empty()) {
+        if (pipe_->size() != 0) {
             bits |= static_cast<uint64_t>(abi::kPollIn);
         }
         if (pipe_->writers == 0) {

@@ -8,7 +8,6 @@
 #ifndef OCCLUM_OSKIT_FILE_OBJECT_H
 #define OCCLUM_OSKIT_FILE_OBJECT_H
 
-#include <deque>
 #include <memory>
 #include <string>
 #include <vector>
@@ -219,7 +218,6 @@ class Pipe
   public:
     static constexpr size_t kCapacity = 65536;
 
-    std::deque<uint8_t> buffer;
     int readers = 0;
     int writers = 0;
 
@@ -228,17 +226,36 @@ class Pipe
     WaitQueue read_waiters;
     WaitQueue write_waiters;
 
+    /** Bytes buffered, waiting for a reader. */
+    size_t size() const { return size_; }
+
     bool
     can_read() const
     {
-        return !buffer.empty() || writers == 0;
+        return size_ != 0 || writers == 0;
     }
 
     bool
     can_write() const
     {
-        return buffer.size() < kCapacity;
+        return size_ < kCapacity;
     }
+
+    /** Move up to `len` buffered bytes to `out`; returns the count. */
+    size_t pop(uint8_t *out, size_t len);
+
+    /** Buffer up to `len` bytes, as many as fit; returns the count. */
+    size_t push(const uint8_t *in, size_t len);
+
+  private:
+    // A fixed ring of kCapacity bytes, at most two memcpys per pop or
+    // push. head_ returns to 0 whenever the ring empties, so the
+    // (uninitialised) storage is only touched up to the high-water
+    // mark of buffered bytes.
+    std::unique_ptr<uint8_t[]> ring_ =
+        std::make_unique_for_overwrite<uint8_t[]>(kCapacity);
+    size_t head_ = 0;
+    size_t size_ = 0;
 };
 
 /** One end of a pipe. */

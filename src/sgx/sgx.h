@@ -138,10 +138,13 @@ class Enclave
                      const Bytes &content = {});
 
     /**
-     * EADD+EEXTEND accounting for zero "reserve" pages (heap, stacks)
-     * without materializing backing memory. The measurement and the
-     * cycle cost are identical to add_pages() of zero pages; only the
-     * simulator's RAM footprint differs. Used by the EIP baseline,
+     * EADD+EEXTEND accounting for `len` bytes of zero "reserve" pages
+     * (heap, stacks) without mapping backing memory. The cycle cost
+     * equals add_pages() of as many zero pages. The measurement does
+     * not: each reserved page is measured as an LE64(~0) reserve
+     * marker in place of its address, RW perms, and the zero-page
+     * digest, so it is deterministic and position-independent but
+     * differs from explicit zero pages. Used by the EIP baseline,
      * whose minimal enclaves are hundreds of MiB of mostly-zero pages.
      */
     Status measure_reserved(uint64_t len);

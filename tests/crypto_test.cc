@@ -6,9 +6,13 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "base/bytes.h"
 #include "crypto/aes.h"
 #include "crypto/hmac.h"
+#include "crypto/mode.h"
 #include "crypto/sha256.h"
 
 namespace occlum::crypto {
@@ -217,18 +221,18 @@ TEST(Aes128, DistinctIvDistinctStream)
 
 // ---- Known-answer batteries for the rebuilt fast paths ------------------
 
-/** Runs the body under both AES implementations (T-table and scalar
+/** Runs the body under both crypto modes (fast paths and scalar
  *  reference), restoring the mode afterwards. */
 template <typename Fn>
 void
 for_both_aes_modes(Fn &&body)
 {
-    bool saved = Aes128::reference_mode();
+    bool saved = reference_mode();
     for (bool reference : {false, true}) {
-        Aes128::set_reference_mode(reference);
+        set_reference_mode(reference);
         body(reference);
     }
-    Aes128::set_reference_mode(saved);
+    set_reference_mode(saved);
 }
 
 // SP 800-38A F.5.1 CTR-AES128.Encrypt: counter block
@@ -296,10 +300,10 @@ TEST(Aes128Kat, CtrCounterWrap)
     EXPECT_EQ(crossing, pre);
 
     // And the wrap behaves identically in both implementations.
-    Aes128::set_reference_mode(true);
+    set_reference_mode(true);
     Aes128 ref_aes(key_from_hex(kSpCtrKey));
     EXPECT_EQ(ref_aes.ctr_crypt(iv, 0xfffffffe, zeros), crossing);
-    Aes128::set_reference_mode(false);
+    set_reference_mode(false);
 }
 
 TEST(Aes128Kat, FastMatchesReferenceOnRandomInputs)
@@ -329,11 +333,11 @@ TEST(Aes128Kat, FastMatchesReferenceOnRandomInputs)
             b = static_cast<uint8_t>(next());
         }
 
-        Aes128::set_reference_mode(false);
+        set_reference_mode(false);
         Bytes fast = Aes128(key).ctr_crypt(iv, counter0, data);
-        Aes128::set_reference_mode(true);
+        set_reference_mode(true);
         Bytes ref = Aes128(key).ctr_crypt(iv, counter0, data);
-        Aes128::set_reference_mode(false);
+        set_reference_mode(false);
         EXPECT_EQ(fast, ref) << "trial=" << trial;
 
         uint8_t block_fast[16], block_ref[16];
@@ -341,9 +345,9 @@ TEST(Aes128Kat, FastMatchesReferenceOnRandomInputs)
                  data.begin() + std::min<size_t>(16, data.size()));
         pt.resize(16, 0);
         Aes128(key).encrypt_block(pt.data(), block_fast);
-        Aes128::set_reference_mode(true);
+        set_reference_mode(true);
         Aes128(key).encrypt_block(pt.data(), block_ref);
-        Aes128::set_reference_mode(false);
+        set_reference_mode(false);
         EXPECT_EQ(to_hex(block_fast, 16), to_hex(block_ref, 16));
     }
 }
@@ -362,6 +366,18 @@ TEST(Sha256Kat, NistBoundaryLengths)
     EXPECT_EQ(digest_hex(Sha256::digest(Bytes(64, 'a'))),
               "ffe054fe7ae0cb6dc65c3af9b61d5209f439851db43d0ba5997337df"
               "154668eb");
+}
+
+TEST(Sha256, EmptyUpdateMidBlockIsNoOp)
+{
+    // An empty Bytes has data() == nullptr; absorbing it while a
+    // partial block is buffered must not reach memcpy (UBSan flags a
+    // null source even for zero bytes) and must not change the hash.
+    Sha256 h;
+    h.update(str_bytes("ab"));
+    h.update(Bytes{});
+    h.update(str_bytes("c"));
+    EXPECT_EQ(h.finish(), Sha256::digest(str_bytes("abc")));
 }
 
 TEST(Sha256Kat, MidstateSaveResume)
@@ -387,6 +403,79 @@ TEST(Sha256Kat, MidstateSaveResume)
     fresh.resume(Sha256::initial_midstate());
     fresh.update(b);
     EXPECT_EQ(fresh.finish(), Sha256::digest(b));
+}
+
+TEST(Sha256Kat, HardwareMatchesReferenceOnRandomInputs)
+{
+    // The SHA-NI kernel must agree with the scalar kernel on messages
+    // of every length class, however update() splits them, and across
+    // a midstate captured in one mode and resumed in the other.
+    if (!Sha256::hardware_supported()) {
+        GTEST_SKIP() << "cpuid reports no SHA extensions: only the "
+                        "scalar kernel runs on this host";
+    }
+    uint64_t rng = 0x2545f4914f6cdd1dull;
+    auto next = [&rng]() {
+        rng ^= rng << 13;
+        rng ^= rng >> 7;
+        rng ^= rng << 17;
+        return rng;
+    };
+    // Absorb msg[begin, end) in pieces, cut at every point in `cuts`.
+    auto feed = [](Sha256 &h, const Bytes &msg, size_t begin, size_t end,
+                   const std::vector<size_t> &cuts) {
+        size_t pos = begin;
+        for (size_t cut : cuts) {
+            if (cut > pos && cut < end) {
+                h.update(msg.data() + pos, cut - pos);
+                pos = cut;
+            }
+        }
+        h.update(msg.data() + pos, end - pos);
+    };
+    bool saved = reference_mode();
+    for (int trial = 0; trial < 64; ++trial) {
+        Bytes msg(next() % (20 * 1024 + 1));
+        for (auto &b : msg) {
+            b = static_cast<uint8_t>(next());
+        }
+        std::vector<size_t> cuts(next() % 8);
+        for (auto &cut : cuts) {
+            cut = msg.empty() ? 0 : next() % msg.size();
+        }
+        std::sort(cuts.begin(), cuts.end());
+        size_t resume_at = (next() % (msg.size() / 64 + 1)) * 64;
+
+        Sha256Digest split[2], resumed[2];
+        for (bool reference : {false, true}) {
+            set_reference_mode(reference);
+            Sha256 whole;
+            feed(whole, msg, 0, msg.size(), cuts);
+            split[reference] = whole.finish();
+
+            // Prefix in this mode, suffix in the other one.
+            Sha256 prefix;
+            feed(prefix, msg, 0, resume_at, cuts);
+            Sha256Midstate m = prefix.midstate();
+            set_reference_mode(!reference);
+            Sha256 rest;
+            rest.resume(m);
+            feed(rest, msg, resume_at, msg.size(), cuts);
+            resumed[reference] = rest.finish();
+        }
+        set_reference_mode(true);
+        Sha256Digest expect = Sha256::digest(msg);
+        for (int mode = 0; mode < 2; ++mode) {
+            EXPECT_EQ(digest_hex(split[mode]), digest_hex(expect))
+                << "trial=" << trial << " len=" << msg.size()
+                << " reference=" << mode;
+            EXPECT_EQ(digest_hex(resumed[mode]), digest_hex(expect))
+                << "trial=" << trial << " len=" << msg.size()
+                << " resume_at=" << resume_at << " prefix_reference="
+                << mode;
+        }
+    }
+    set_reference_mode(saved);
 }
 
 TEST(HmacKat, Rfc4231Case4)

@@ -7,6 +7,9 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
+
 #include "baseline/linux_system.h"
 #include "faultsim/faultsim.h"
 #include "oskit/loader.h"
@@ -583,6 +586,135 @@ func main() {
 }
 
 // ---- idle and wake-up accounting --------------------------------------
+
+// ---- pipe ring buffer ---------------------------------------------------
+
+/** A pipe with both ends held open, driven directly (no SIP). */
+struct PipeHarness {
+    KernelHarness h;
+    std::shared_ptr<Pipe> pipe = std::make_shared<Pipe>();
+    PipeEnd rd{pipe, true};
+    PipeEnd wr{pipe, false};
+
+    PipeHarness()
+    {
+        rd.on_fd_acquire();
+        wr.on_fd_acquire();
+    }
+};
+
+TEST(Pipe, RingMatchesDequeShadowAcrossWrap)
+{
+    // Seeded random read and write sizes, checked byte for byte
+    // against a std::deque model of the old buffer. Sizes up to 3/4
+    // of the capacity make the fill level walk between empty and full,
+    // so writes and reads straddle the end of the ring many times.
+    PipeHarness ph;
+    std::deque<uint8_t> shadow;
+    uint64_t rng = 0x853c49e6748fea9bull;
+    auto next = [&rng]() {
+        rng ^= rng << 13;
+        rng ^= rng >> 7;
+        rng ^= rng << 17;
+        return rng;
+    };
+    uint8_t stamp = 0;
+    size_t head = 0; // the ring's read offset, mirrored for coverage
+    int wrapped = 0, full_blocks = 0, empty_blocks = 0;
+    for (int step = 0; step < 4000; ++step) {
+        size_t len = next() % (Pipe::kCapacity * 3 / 4);
+        if (next() & 1) {
+            Bytes in(len);
+            for (auto &b : in) {
+                b = stamp++;
+            }
+            IoResult r = ph.wr.write(ph.h.sys, in.data(), len);
+            size_t room = Pipe::kCapacity - shadow.size();
+            if (room == 0) {
+                ASSERT_TRUE(r.would_block) << "step " << step;
+                ++full_blocks;
+                continue;
+            }
+            size_t n = std::min(len, room);
+            ASSERT_FALSE(r.would_block);
+            ASSERT_EQ(r.value, static_cast<int64_t>(n)) << "step " << step;
+            if (head + shadow.size() < Pipe::kCapacity &&
+                head + shadow.size() + n > Pipe::kCapacity) {
+                ++wrapped;
+            }
+            shadow.insert(shadow.end(), in.begin(), in.begin() + n);
+        } else {
+            Bytes out(len);
+            IoResult r = ph.rd.read(ph.h.sys, out.data(), len);
+            if (shadow.empty()) {
+                ASSERT_TRUE(r.would_block) << "step " << step;
+                ++empty_blocks;
+                continue;
+            }
+            size_t n = std::min(len, shadow.size());
+            ASSERT_EQ(r.value, static_cast<int64_t>(n)) << "step " << step;
+            ASSERT_TRUE(std::equal(out.begin(), out.begin() + n,
+                                   shadow.begin()))
+                << "step " << step;
+            shadow.erase(shadow.begin(), shadow.begin() + n);
+            head = shadow.empty() ? 0 : (head + n) % Pipe::kCapacity;
+        }
+        ASSERT_EQ(ph.pipe->size(), shadow.size());
+        EXPECT_EQ(ph.pipe->can_read(), !shadow.empty());
+        EXPECT_EQ(ph.pipe->can_write(), shadow.size() < Pipe::kCapacity);
+        EXPECT_EQ(ph.rd.poll_ready(ph.h.sys),
+                  shadow.empty() ? 0u : uint64_t(abi::kPollIn));
+        EXPECT_EQ(ph.wr.poll_ready(ph.h.sys),
+                  shadow.size() < Pipe::kCapacity ? uint64_t(abi::kPollOut)
+                                                  : 0u);
+    }
+    EXPECT_GT(wrapped, 10);
+    EXPECT_GT(full_blocks, 0);
+    EXPECT_GT(empty_blocks, 0);
+}
+
+TEST(Pipe, FullPipeBlocksWriterUntilDrained)
+{
+    PipeHarness ph;
+    Bytes in(Pipe::kCapacity + 100, 0x5a);
+    IoResult r = ph.wr.write(ph.h.sys, in.data(), in.size());
+    EXPECT_EQ(r.value, static_cast<int64_t>(Pipe::kCapacity));
+    EXPECT_FALSE(ph.pipe->can_write());
+    EXPECT_EQ(ph.wr.poll_ready(ph.h.sys), 0u);
+    EXPECT_TRUE(ph.wr.write(ph.h.sys, in.data(), 1).would_block);
+
+    uint8_t out[10];
+    EXPECT_EQ(ph.rd.read(ph.h.sys, out, sizeof(out)).value, 10);
+    EXPECT_EQ(ph.wr.poll_ready(ph.h.sys), uint64_t(abi::kPollOut));
+    EXPECT_EQ(ph.wr.write(ph.h.sys, in.data(), in.size()).value, 10);
+    EXPECT_TRUE(ph.wr.write(ph.h.sys, in.data(), 1).would_block);
+}
+
+TEST(Pipe, EofAfterWriterClosesWithBytesBuffered)
+{
+    PipeHarness ph;
+    Bytes in(100);
+    for (size_t i = 0; i < in.size(); ++i) {
+        in[i] = static_cast<uint8_t>(i);
+    }
+    ASSERT_EQ(ph.wr.write(ph.h.sys, in.data(), in.size()).value, 100);
+    ph.wr.on_fd_release(ph.h.sys);
+
+    // Hangup with data still buffered: POLLIN and POLLHUP together,
+    // the bytes drain in order, then reads see a clean EOF.
+    EXPECT_EQ(ph.rd.poll_ready(ph.h.sys),
+              uint64_t(abi::kPollIn | abi::kPollHup));
+    EXPECT_TRUE(ph.pipe->can_read());
+    Bytes out(100);
+    EXPECT_EQ(ph.rd.read(ph.h.sys, out.data(), 60).value, 60);
+    EXPECT_EQ(ph.rd.read(ph.h.sys, out.data() + 60, 100).value, 40);
+    EXPECT_EQ(out, in);
+    EXPECT_EQ(ph.rd.poll_ready(ph.h.sys), uint64_t(abi::kPollHup));
+    IoResult eof = ph.rd.read(ph.h.sys, out.data(), out.size());
+    EXPECT_FALSE(eof.would_block);
+    EXPECT_EQ(eof.value, 0);
+    EXPECT_TRUE(ph.pipe->can_read());
+}
 
 TEST(Kernel, AllowIdleReturnsWhenEveryProcessSleepsForever)
 {

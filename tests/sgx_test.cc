@@ -448,11 +448,50 @@ TEST(Attestation, LongUserDataBindsDigestNotTruncation)
     EXPECT_EQ(Enclave::bind_user_data(exact), verbatim);
 }
 
+TEST(Enclave, GoldenMeasurement)
+{
+    // Pins MRENCLAVE of a fixed enclave: the ECREATE header, EADD of
+    // three pages whose content ends mid-page (content page, zero
+    // tail, whole zero page), then a reserve. Any change to the
+    // measurement format or to the SHA-256 implementation underneath
+    // shows up here.
+    Platform platform;
+    Enclave enclave(platform, kBase, 1 << 20);
+    Bytes content(5000);
+    for (size_t i = 0; i < content.size(); ++i) {
+        content[i] = static_cast<uint8_t>(i * 7 + 3);
+    }
+    ASSERT_TRUE(enclave
+                    .add_pages(kBase, 3 * vm::kPageSize, vm::kPermRX,
+                               content)
+                    .ok());
+    ASSERT_TRUE(enclave.measure_reserved(5 * vm::kPageSize).ok());
+    ASSERT_TRUE(enclave.init().ok());
+    EXPECT_EQ(to_hex(enclave.measurement().data(),
+                     enclave.measurement().size()),
+              "3cb3360941148d526a63480765f601b1"
+              "095db1c29b1c3cbb3a7ae7658db3cb97");
+
+    // A reserve longer than one batch of records, starting off a
+    // block boundary (value computed independently from the format).
+    Enclave long_reserve(platform, kBase, 1 << 20);
+    ASSERT_TRUE(
+        long_reserve.add_pages(kBase, vm::kPageSize, vm::kPermRW).ok());
+    ASSERT_TRUE(long_reserve.measure_reserved(130 * vm::kPageSize).ok());
+    ASSERT_TRUE(long_reserve.init().ok());
+    EXPECT_EQ(to_hex(long_reserve.measurement().data(),
+                     long_reserve.measurement().size()),
+              "f2a861c8b8e4b8370747be358e7700fc"
+              "ae504233797930cc2d0df4027221d635");
+}
+
 TEST(Enclave, ZeroReserveMatchesExplicitZeroPages)
 {
-    // measure_reserved must be measurement-compatible with adding
-    // explicit zero pages is NOT required (different metadata), but
-    // it must be deterministic and cost the same cycles per page.
+    // measure_reserved costs the same cycles per page as adding
+    // explicit zero pages, but it is not measurement-compatible with
+    // them: each reserved page is measured under an LE64(~0) reserve
+    // marker in place of its address. Its measurement must still be
+    // deterministic.
     Platform p1, p2;
     Enclave e1(p1, kBase, 1 << 20);
     uint64_t before1 = p1.clock().cycles();
@@ -465,6 +504,15 @@ TEST(Enclave, ZeroReserveMatchesExplicitZeroPages)
         e2.add_pages(kBase, 16 * vm::kPageSize, vm::kPermRW).ok());
     uint64_t cost2 = p2.clock().cycles() - before2;
     EXPECT_EQ(cost1, cost2);
+
+    Platform p3;
+    Enclave e3(p3, kBase, 1 << 20);
+    ASSERT_TRUE(e3.measure_reserved(16 * vm::kPageSize).ok());
+    ASSERT_TRUE(e1.init().ok());
+    ASSERT_TRUE(e2.init().ok());
+    ASSERT_TRUE(e3.init().ok());
+    EXPECT_EQ(e1.measurement(), e3.measurement());
+    EXPECT_NE(e1.measurement(), e2.measurement());
 }
 
 } // namespace

@@ -297,5 +297,43 @@ TEST(MiniC, ImageRoundTripsAndSigns)
     EXPECT_FALSE(parsed.value().check_signature(key));
 }
 
+TEST(Oelf, GoldenContentDigestAndSignature)
+{
+    // A hand-built image (not compiler output, so codegen changes do
+    // not move it) with multi-block code, data and a symbol table.
+    oelf::Image image;
+    image.entry_offset = 8;
+    image.code.resize(1000);
+    for (size_t i = 0; i < image.code.size(); ++i) {
+        image.code[i] = static_cast<uint8_t>(i * 7 + 3);
+    }
+    image.data.resize(150);
+    for (size_t i = 0; i < image.data.size(); ++i) {
+        image.data[i] = static_cast<uint8_t>(i * 13 + 1);
+    }
+    image.bss_size = 4096;
+    image.code_reserve = 0x10000;
+    image.flags = oelf::kFlagInstrumented;
+    image.symbols = {{"_start", 0}, {"main", 8}};
+    crypto::Key128 key{};
+    for (size_t i = 0; i < key.size(); ++i) {
+        key[i] = static_cast<uint8_t>(i);
+    }
+
+    const char *kDigest = "6913e3f17b59d8e8d0b2ecd9efdec594"
+                          "d338bf7ca44f1e3f9f954392428a8ff1";
+    EXPECT_EQ(to_hex(image.content_digest().data(), 32), kDigest);
+
+    // The digest is SHA-256 of the serialized image with the
+    // signature blanked, whether or not the image is signed.
+    oelf::Image blank = image;
+    image.sign(key);
+    EXPECT_EQ(to_hex(image.signature.data(), 32), "5f45e7b766ef2b15952736427d959837"
+                             "77578a2e95e2c43490aefe42f248b8dc");
+    EXPECT_EQ(to_hex(image.content_digest().data(), 32), kDigest);
+    EXPECT_EQ(image.content_digest(), crypto::Sha256::digest(blank.serialize()));
+    EXPECT_TRUE(image.check_signature(key));
+}
+
 } // namespace
 } // namespace occlum::toolchain
