@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # CI job: smoke-test the benchmark recording pipeline. Runs the
 # cheapest figure bench through scripts/bench_record.sh and checks
-# that a snapshot with machine-readable JSON came out, so bench or
+# that a snapshot with machine-readable JSON came out (plus the spawn
+# bench, checked against the newest snapshot), so bench or
 # script rot is caught on every push rather than at paper-figure
 # time. The full (slow) suite is recorded manually via
 # scripts/bench_record.sh.
@@ -37,6 +38,18 @@ cmp "$JSON" "$JSON_SB0" ||
     { echo "smoke failed: superblock tier changed simulated results" >&2;
       exit 1; }
 
+# Spawn leg: bench_fig6a_spawn loads binaries up to a 14 MiB cc1 on
+# the Linux model, EIP and Occlum and reports simulated time only, so
+# its JSON must equal the newest recorded snapshot's copy byte for
+# byte. A loader, verifier or toolchain change that moves a simulated
+# spawn cost fails here; an intended move needs a new snapshot.
+SNAPSHOT_JSON="$(ls -d bench/results/20*/BENCH_fig6a_spawn.json | sort | tail -n 1)"
+BENCH_FILTER='bench_fig6a_spawn' \
+    scripts/bench_record.sh "$BUILD_DIR" "$LABEL-spawn"
+cmp "bench/results/$LABEL-spawn/BENCH_fig6a_spawn.json" "$SNAPSHOT_JSON" ||
+    { echo "smoke failed: fig6a spawn results differ from $SNAPSHOT_JSON" >&2;
+      exit 1; }
+
 # The smoke snapshots are CI artifacts, not recorded results.
-rm -rf "$OUT_DIR" "bench/results/$LABEL-sb0"
+rm -rf "$OUT_DIR" "bench/results/$LABEL-sb0" "bench/results/$LABEL-spawn"
 echo "bench smoke OK"

@@ -85,6 +85,15 @@ Assembler::raw(const Bytes &bytes)
 }
 
 void
+Assembler::zero_fill(size_t len)
+{
+    Item item;
+    item.is_raw = true;
+    item.length = len;
+    push_item(std::move(item));
+}
+
+void
 Assembler::emit(Instruction instr)
 {
     Item item;
@@ -329,6 +338,7 @@ Assembler::finish()
         if (item.is_raw) {
             out.insert(out.end(), item.raw_bytes.begin(),
                        item.raw_bytes.end());
+            out.resize(item.offset + item.length);
             continue;
         }
         Instruction instr = item.instr;

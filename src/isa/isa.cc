@@ -1,5 +1,6 @@
 #include "isa/isa.h"
 
+#include <cstring>
 #include <sstream>
 
 #include "base/log.h"
@@ -452,6 +453,29 @@ cond_name(Cond cond)
       case Cond::kAe: return "ae";
     }
     return "?";
+}
+
+size_t
+find_cfi_magic(const uint8_t *code, size_t size, size_t from)
+{
+    if (size < kCfiLabelSize) {
+        return size;
+    }
+    size_t last = size - kCfiLabelSize; // last offset a label fits at
+    while (from <= last) {
+        const void *hit =
+            std::memchr(code + from, kCfiMagic[0], last - from + 1);
+        if (hit == nullptr) {
+            break;
+        }
+        size_t at = static_cast<size_t>(
+            static_cast<const uint8_t *>(hit) - code);
+        if (std::memcmp(code + at, kCfiMagic, sizeof(kCfiMagic)) == 0) {
+            return at;
+        }
+        from = at + 1;
+    }
+    return size;
 }
 
 size_t

@@ -63,6 +63,15 @@ cfi_label_value(uint32_t domain_id)
     return 0x1DBE1ACFull | (static_cast<uint64_t>(domain_id) << 32);
 }
 
+/**
+ * Offset of the first cfi_label magic at or after `from` whose whole
+ * label fits in `size` bytes, or `size` if there is none. Candidates
+ * come from memchr on the magic's first byte, so the scan runs at
+ * memory speed over padding. The verifier resumes at a match + 1 and
+ * sees every occurrence; the loader resumes past the match's 8 bytes.
+ */
+size_t find_cfi_magic(const uint8_t *code, size_t size, size_t from);
+
 /** Operation codes. Gaps are reserved. */
 enum class Opcode : uint8_t {
     kNop = 0x00,

@@ -273,7 +273,14 @@ Kernel::kill_process(Process &proc, DeathCause cause, int64_t code)
     OCC_TRACE_INSTANT(kSched, "proc.death",
                       static_cast<uint64_t>(proc.pid));
     death_order_.push_back(proc.pid);
+    // The record outlives the process (exit code, death record), its
+    // CPU and memory do not. Drop the CPU before the personality frees
+    // the memory it runs on (EIP: the whole enclave).
+    proc.cpu = nullptr;
+    proc.owned_cpu.reset();
     destroy_process(proc);
+    proc.space = nullptr;
+    proc.owned_space.reset();
     any_progress_ = true;
 }
 
@@ -305,6 +312,13 @@ Kernel::find_process(int pid) const
         return nullptr;
     }
     return it->second.get();
+}
+
+const Process *
+Kernel::find_record(int pid) const
+{
+    auto it = procs_.find(pid);
+    return it == procs_.end() ? nullptr : it->second.get();
 }
 
 bool

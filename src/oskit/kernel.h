@@ -77,7 +77,8 @@ struct Process {
     vm::FaultKind last_fault = vm::FaultKind::kNone;
     uint64_t last_fault_addr = 0;
 
-    /** CPU + memory; both owned by the personality's process record. */
+    /** CPU + memory; both owned by the personality's process record.
+     *  Null once the process is dead (see Kernel::kill_process). */
     vm::Cpu *cpu = nullptr;
     vm::AddressSpace *space = nullptr;
 
@@ -282,6 +283,9 @@ class Kernel
     /** Full post-mortem info (cause, fault kind) for a dead pid. */
     Result<DeathRecord> death_record(int pid) const;
     const Process *find_process(int pid) const;
+    /** The record of `pid`, live or dead (nullptr if never spawned).
+     *  A dead record keeps its exit state but no CPU or memory. */
+    const Process *find_record(int pid) const;
 
     SimClock &clock() { return *clock_; }
     const std::string &console() const { return console_; }

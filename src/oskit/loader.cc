@@ -1,31 +1,10 @@
 #include "oskit/loader.h"
 
-#include <cstring>
-
 #include "base/log.h"
 #include "isa/assembler.h"
 #include "oelf/abi.h"
 
 namespace occlum::oskit {
-
-namespace {
-
-/** Rewrite the domain-ID field of every cfi_label in a code blob. */
-void
-rewrite_cfi_labels(Bytes &code, uint32_t domain_id)
-{
-    if (code.size() < isa::kCfiLabelSize) {
-        return;
-    }
-    for (size_t i = 0; i + isa::kCfiLabelSize <= code.size(); ++i) {
-        if (std::memcmp(code.data() + i, isa::kCfiMagic, 4) == 0) {
-            set_le<uint32_t>(code.data() + i + 4, domain_id);
-            i += isa::kCfiLabelSize - 1;
-        }
-    }
-}
-
-} // namespace
 
 Result<LoadedDomain>
 load_image(vm::AddressSpace &space, const oelf::Image &image,
@@ -73,14 +52,25 @@ load_image(vm::AddressSpace &space, const oelf::Image &image,
     OCC_CHECK(space.write_raw(base, gate_code.data(), gate_code.size()) ==
               vm::AccessFault::kNone);
 
-    // User code with the domain ID stamped into every cfi_label.
-    Bytes code = image.code;
-    if (options.rewrite_cfi) {
-        rewrite_cfi_labels(code, options.domain_id);
-    }
+    // User code, written straight from the image (all-zero pages of
+    // padding stay lazy), then the domain ID stamped into the 4 ID
+    // bytes of every cfi_label. The scan resumes past each match, so
+    // a magic inside a label's ID field is not taken for a label.
+    const Bytes &code = image.code;
     if (!code.empty()) {
         OCC_CHECK(space.write_raw(domain.c_begin, code.data(),
                                   code.size()) == vm::AccessFault::kNone);
+    }
+    if (options.rewrite_cfi) {
+        uint8_t id[4];
+        set_le<uint32_t>(id, options.domain_id);
+        for (size_t at = isa::find_cfi_magic(code.data(), code.size(), 0);
+             at < code.size();
+             at = isa::find_cfi_magic(code.data(), code.size(),
+                                      at + isa::kCfiLabelSize)) {
+            OCC_CHECK(space.write_raw(domain.c_begin + at + 4, id, 4) ==
+                      vm::AccessFault::kNone);
+        }
     }
     // No touch_code(): zero_raw/write_raw above advance the code
     // generation exactly when the slot's old code was fetched under

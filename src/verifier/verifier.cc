@@ -1,7 +1,7 @@
 #include "verifier/verifier.h"
 
-#include <cstring>
 #include <deque>
+#include <iterator>
 #include <set>
 #include <unordered_map>
 
@@ -236,6 +236,8 @@ class Analysis
     VerifyReport stage4_memory_accesses();
 
     const Instruction *instr_at(uint64_t off) const;
+    /** Reachable instruction with the highest offset below `end`. */
+    const Instruction *last_before(uint64_t end) const;
     /** Instruction immediately before `off` in address order. */
     const Instruction *prev_instr(uint64_t off) const;
 
@@ -276,8 +278,9 @@ class Analysis
     int64_t d_off_;
     int64_t d_size_;
 
+    // Reachable instructions never overlap, so this ordered map also
+    // answers which instruction owns a byte (see last_before()).
     std::map<uint64_t, Instruction> reachable_; // code offset -> instr
-    std::vector<int64_t> owner_;                // byte -> instr offset
     std::set<uint64_t> labels_;                 // cfi_label offsets
     std::set<uint64_t> guard_exempt_loads_;     // cfi_guard member loads
     std::set<uint64_t> guard_interiors_;        // illegal direct targets
@@ -295,16 +298,19 @@ Analysis::instr_at(uint64_t off) const
 }
 
 const Instruction *
+Analysis::last_before(uint64_t end) const
+{
+    auto it = reachable_.lower_bound(end);
+    return it == reachable_.begin() ? nullptr : &std::prev(it)->second;
+}
+
+const Instruction *
 Analysis::prev_instr(uint64_t off) const
 {
     if (off == 0 || off > code_.size()) {
         return nullptr;
     }
-    int64_t owner = owner_[off - 1];
-    if (owner < 0) {
-        return nullptr;
-    }
-    const Instruction *instr = instr_at(static_cast<uint64_t>(owner));
+    const Instruction *instr = last_before(off);
     if (!instr || instr->address - code_base_ + instr->length != off) {
         return nullptr;
     }
@@ -317,16 +323,15 @@ Analysis::stage1_disassemble()
     if (code_.empty()) {
         return VerifyReport::fail(1, "empty code segment");
     }
-    owner_.assign(code_.size(), -1);
-
     // Roots: every cfi_label magic occurrence (paper Algorithm 1,
     // line 2) — plus the entry point, which must itself be a label.
     std::deque<uint64_t> worklist;
-    for (size_t i = 0; i + isa::kCfiLabelSize <= code_.size(); ++i) {
-        if (std::memcmp(code_.data() + i, isa::kCfiMagic, 4) == 0) {
-            labels_.insert(i);
-            worklist.push_back(i);
-        }
+    const uint8_t *code = code_.data();
+    size_t size = code_.size();
+    for (size_t i = isa::find_cfi_magic(code, size, 0); i < size;
+         i = isa::find_cfi_magic(code, size, i + 1)) {
+        labels_.insert(i);
+        worklist.push_back(i);
     }
     if (!labels_.count(image_.entry_offset)) {
         return VerifyReport::fail(1, "entry point is not a cfi_label",
@@ -342,7 +347,7 @@ Analysis::stage1_disassemble()
                     1, "control flows past the end of the code segment",
                     addr);
             }
-            if (owner_[addr] == static_cast<int64_t>(addr)) {
+            if (reachable_.count(addr)) {
                 break; // already disassembled from here
             }
             auto decoded = isa::decode(code_.data(), code_.size(), addr,
@@ -354,14 +359,13 @@ Analysis::stage1_disassemble()
                     addr);
             }
             Instruction instr = decoded.take();
-            for (uint64_t b = addr; b < addr + instr.length; ++b) {
-                if (owner_[b] != -1) {
-                    return VerifyReport::fail(
-                        1, "overlapping reachable instructions", addr);
-                }
-            }
-            for (uint64_t b = addr; b < addr + instr.length; ++b) {
-                owner_[b] = static_cast<int64_t>(addr);
+            // Reachable instructions never overlap each other, so the
+            // last one starting before our end is the only candidate.
+            const Instruction *below = last_before(addr + instr.length);
+            if (below &&
+                below->address - code_base_ + below->length > addr) {
+                return VerifyReport::fail(
+                    1, "overlapping reachable instructions", addr);
             }
             Opcode op = instr.op;
             if (isa::transfer_kind(op) == TransferKind::kDirect) {
@@ -952,7 +956,7 @@ Verifier::verify(const oelf::Image &image) const
 }
 
 Result<oelf::Image>
-Verifier::verify_and_sign(const oelf::Image &image) const
+Verifier::verify_and_sign(oelf::Image image) const
 {
     VerifyReport report = verify(image);
     if (!report.ok) {
@@ -961,9 +965,8 @@ Verifier::verify_and_sign(const oelf::Image &image) const
                          std::to_string(report.failed_stage) +
                          "): " + report.reason);
     }
-    oelf::Image signed_image = image;
-    signed_image.sign(key_);
-    return signed_image;
+    image.sign(key_);
+    return image;
 }
 
 } // namespace occlum::verifier

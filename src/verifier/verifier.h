@@ -74,8 +74,9 @@ class Verifier
     /** Run all four stages. */
     VerifyReport verify(const oelf::Image &image) const;
 
-    /** verify() and, on success, return a signed copy of the image. */
-    Result<oelf::Image> verify_and_sign(const oelf::Image &image) const;
+    /** verify() and, on success, return the image signed. Takes the
+     *  image by value so a caller done with it can move it in. */
+    Result<oelf::Image> verify_and_sign(oelf::Image image) const;
 
     const crypto::Key128 &key() const { return key_; }
 

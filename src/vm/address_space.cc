@@ -4,6 +4,17 @@
 
 namespace occlum::vm {
 
+namespace {
+
+/** True if all `len` bytes at `p` are zero. */
+bool
+all_zero(const uint8_t *p, uint64_t len)
+{
+    return len == 0 || (p[0] == 0 && std::memcmp(p, p + 1, len - 1) == 0);
+}
+
+} // namespace
+
 Status
 AddressSpace::map(uint64_t addr, uint64_t len, uint8_t perms)
 {
@@ -84,6 +95,17 @@ AddressSpace::is_mapped(uint64_t addr, uint64_t len) const
     return true;
 }
 
+size_t
+AddressSpace::resident_pages(uint64_t addr, uint64_t len) const
+{
+    size_t resident = 0;
+    for (uint64_t a = addr & ~kPageMask; a < addr + len; a += kPageSize) {
+        const Page *page = find_page(a);
+        resident += page != nullptr && page->data != nullptr;
+    }
+    return resident;
+}
+
 uint8_t
 AddressSpace::perms_at(uint64_t addr) const
 {
@@ -147,6 +169,17 @@ AddressSpace::access(uint64_t addr, void *buf, uint64_t len, uint8_t require)
         }
         if constexpr (Write) {
             if (!page->data) {
+                // A trusted write of zeros into a lazy page leaves it
+                // lazy: its bytes already read as zeros, so contents
+                // and every cached block stay exactly as they were,
+                // and no code-generation bump is due. This keeps a
+                // loaded image's zero padding from costing a page of
+                // host memory per 4 KiB. Guest writes (require != 0)
+                // are small and skip the check.
+                if (require == 0 &&
+                    all_zero(static_cast<uint8_t *>(buf), len)) {
+                    return AccessFault::kNone;
+                }
                 materialize(*page);
             }
             std::memcpy(page->data.get() + (addr & kPageMask), buf, len);
@@ -192,6 +225,10 @@ AddressSpace::access(uint64_t addr, void *buf, uint64_t len, uint8_t require)
         uint64_t n = std::min(in_page, len - done);
         if constexpr (Write) {
             if (!page->data) {
+                if (require == 0 && all_zero(out + done, n)) {
+                    done += n; // lazy page stays lazy, as above
+                    continue;
+                }
                 materialize(*page);
             }
             std::memcpy(page->data.get() + (a & kPageMask), out + done, n);

@@ -137,7 +137,9 @@ class AddressSpace
     }
 
     // ---- trusted accessors used by the LibOS / loaders ---------------
-    /** Copy bytes ignoring permissions (still faults on unmapped). */
+    /** Copy bytes ignoring permissions (still faults on unmapped).
+     *  A write_raw chunk of all zeros into a lazy page leaves the
+     *  page lazy (same contents, no backing store, no bump). */
     AccessFault read_raw(uint64_t addr, void *out, uint64_t len) const;
     AccessFault write_raw(uint64_t addr, const void *in, uint64_t len);
 
@@ -146,6 +148,10 @@ class AddressSpace
 
     /** Number of currently mapped pages. */
     size_t mapped_pages() const { return pages_.size(); }
+
+    /** Mapped pages of [addr, addr+len) that have a backing store;
+     *  a lazy page (logically all zeros) has none. */
+    size_t resident_pages(uint64_t addr, uint64_t len) const;
 
     /**
      * Bump the generation counter (invalidates CPU block/decode

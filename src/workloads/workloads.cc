@@ -30,7 +30,8 @@ build_program(const std::string &source, uint64_t pad_to,
     OCC_CHECK_MSG(occ_out.ok(), "workload compile failed: " +
                                     occ_out.error().message);
     verifier::Verifier verifier(bench_verifier_key());
-    auto signed_image = verifier.verify_and_sign(occ_out.value().image);
+    auto signed_image = verifier.verify_and_sign(
+        std::move(occ_out.value().image));
     OCC_CHECK_MSG(signed_image.ok(), "workload verify failed: " +
                                          signed_image.error().message);
     build.occlum = signed_image.value().serialize();

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "baseline/eip_system.h"
+#include "baseline/linux_system.h"
 #include "libos/occlum_system.h"
 #include "toolchain/minic.h"
 #include "trace/metrics.h"
@@ -464,6 +465,55 @@ func main() {
     ASSERT_TRUE(pid.ok());
     sys.run();
     EXPECT_EQ(sys.exit_code(pid.value()).value(), 4);
+}
+
+// ---- dead-process teardown -------------------------------------------------
+
+/** Spawn `runs` short processes one after another and check that each
+ *  dead record has released its CPU and memory. */
+void
+expect_dead_processes_released(oskit::Kernel &sys, const std::string &name,
+                               int runs)
+{
+    for (int i = 0; i < runs; ++i) {
+        auto pid = sys.spawn(name, {name});
+        ASSERT_TRUE(pid.ok()) << pid.error().message;
+        sys.run();
+        EXPECT_EQ(sys.exit_code(pid.value()).value(), 3);
+        const oskit::Process *record = sys.find_record(pid.value());
+        ASSERT_NE(record, nullptr);
+        EXPECT_EQ(record->state, oskit::ProcState::kDead);
+        EXPECT_EQ(record->cpu, nullptr);
+        EXPECT_EQ(record->space, nullptr);
+        EXPECT_EQ(record->owned_cpu, nullptr);
+        EXPECT_EQ(record->owned_space, nullptr);
+    }
+}
+
+TEST(Teardown, DeadProcessesReleaseCpuAndMemoryOnEveryPersonality)
+{
+    const char *source = "func main() { return 3; }";
+    {
+        SimClock clock;
+        host::HostFileStore binaries;
+        binaries.put("p", build_plain(source));
+        baseline::LinuxSystem sys(clock, binaries);
+        expect_dead_processes_released(sys, "p", 4);
+    }
+    {
+        // EIP frees the process's enclave at death; a CPU or space
+        // pointer kept past that would point into freed memory.
+        sgx::Platform platform;
+        host::HostFileStore binaries;
+        binaries.put("p", build_plain(source));
+        baseline::EipSystem sys(platform, binaries);
+        expect_dead_processes_released(sys, "p", 4);
+    }
+    {
+        OcclumHarness h(2);
+        h.add_program("p", source);
+        expect_dead_processes_released(*h.sys, "p", 4);
+    }
 }
 
 } // namespace

@@ -12,6 +12,7 @@
 
 #include "baseline/linux_system.h"
 #include "faultsim/faultsim.h"
+#include "isa/assembler.h"
 #include "oskit/loader.h"
 #include "toolchain/minic.h"
 #include "trace/metrics.h"
@@ -99,6 +100,149 @@ TEST(Loader, CfiLabelsRewrittenToDomainId)
         }
     }
     EXPECT_GT(found, 0);
+}
+
+/**
+ * Reference for the loader's label patching: copy the code and
+ * rewrite it front to back, skipping past every match so a magic
+ * inside a label's domain-ID field is not a second label.
+ */
+Bytes
+sequential_rewrite(Bytes code, uint32_t domain_id)
+{
+    for (size_t i = 0; i + isa::kCfiLabelSize <= code.size(); ++i) {
+        if (std::equal(std::begin(isa::kCfiMagic),
+                       std::end(isa::kCfiMagic), code.begin() + i)) {
+            set_le<uint32_t>(code.data() + i + 4, domain_id);
+            i += isa::kCfiLabelSize - 1;
+        }
+    }
+    return code;
+}
+
+/**
+ * Seven pages of mostly-zero code: labels at offset 0, at the start
+ * of page 2, straddling pages 3 and 4, one in page 4 whose domain-ID
+ * field is the magic, and one filling the code's last 8 bytes. Pages
+ * 1 and 5 are all zeros.
+ */
+oelf::Image
+padded_label_image()
+{
+    uint32_t magic_id =
+        static_cast<uint32_t>(isa::cfi_label_value(0) & 0xffffffffu);
+    isa::Assembler a;
+    auto pad_to = [&](size_t offset) {
+        a.zero_fill(offset - a.size_estimate());
+    };
+    a.cfi_label(0);
+    a.bind("spin");
+    a.jmp("spin");
+    pad_to(2 * vm::kPageSize);
+    a.cfi_label(0);
+    pad_to(4 * vm::kPageSize - 4);
+    a.cfi_label(0);
+    pad_to(4 * vm::kPageSize + 64);
+    a.cfi_label(magic_id);
+    a.raw(Bytes{1, 2, 3, 4});
+    pad_to(7 * vm::kPageSize - isa::kCfiLabelSize);
+    a.cfi_label(0);
+
+    oelf::Image image;
+    image.code = a.finish();
+    image.heap_size = 1 << 16;
+    image.stack_size = 1 << 14;
+    image.code_reserve = 10 * vm::kPageSize;
+    return image;
+}
+
+TEST(Loader, CopyFreeLoadMatchesSequentialRewrite)
+{
+    oelf::Image image = padded_label_image();
+    ASSERT_EQ(image.code.size(), 7 * vm::kPageSize);
+    for (bool rewrite : {true, false}) {
+        vm::AddressSpace space;
+        LoadOptions options;
+        options.domain_id = 0x1234;
+        options.rewrite_cfi = rewrite;
+        auto domain = load_image(space, image, 0x40000000, {"p"}, options);
+        ASSERT_TRUE(domain.ok());
+        Bytes loaded(image.code_region_size());
+        ASSERT_EQ(space.read_raw(domain.value().c_begin, loaded.data(),
+                                 loaded.size()),
+                  vm::AccessFault::kNone);
+        Bytes expected =
+            rewrite ? sequential_rewrite(image.code, 0x1234) : image.code;
+        expected.resize(loaded.size(), 0);
+        EXPECT_EQ(loaded, expected) << "rewrite_cfi=" << rewrite;
+    }
+
+    // The magic inside the domain-ID field at 4 pages + 64 is data of
+    // the first label, not a second one: only the first is patched.
+    Bytes patched = sequential_rewrite(image.code, 0x1234);
+    size_t at = 4 * vm::kPageSize + 64;
+    EXPECT_EQ(get_le<uint32_t>(patched.data() + at + 4), 0x1234u);
+    EXPECT_EQ(get_le<uint32_t>(patched.data() + at + 8), 0x04030201u);
+}
+
+TEST(Loader, AllZeroCodePagesStayLazy)
+{
+    oelf::Image image = padded_label_image();
+    vm::AddressSpace space;
+    LoadOptions options;
+    options.domain_id = 7;
+    auto domain = load_image(space, image, 0x40000000, {"p"}, options);
+    ASSERT_TRUE(domain.ok());
+    uint64_t c_begin = domain.value().c_begin;
+    Bytes code = sequential_rewrite(image.code, 7);
+    for (uint64_t page = 0; page < image.code_region_size() / vm::kPageSize;
+         ++page) {
+        uint64_t off = page * vm::kPageSize;
+        bool nonzero =
+            off < code.size() &&
+            std::any_of(code.begin() + off,
+                        code.begin() + off + vm::kPageSize,
+                        [](uint8_t b) { return b != 0; });
+        EXPECT_EQ(space.resident_pages(c_begin + off, vm::kPageSize),
+                  nonzero ? 1u : 0u)
+            << "code page " << page;
+    }
+    // Pages 0, 2, 3, 4 and 6 hold label bytes; pages 1 and 5 and the
+    // reservation past the code stay lazy.
+    EXPECT_EQ(space.resident_pages(c_begin, image.code_region_size()), 5u);
+}
+
+TEST(Loader, ReusedSlotBumpsGenerationOnlyIfItsCodeWasFetched)
+{
+    oelf::Image image = padded_label_image();
+    vm::AddressSpace space;
+    uint64_t base = 0x40000000;
+    ASSERT_TRUE(space
+                    .map(base, oelf::kTrampSize + image.code_region_size(),
+                         vm::kPermRX)
+                    .ok());
+    ASSERT_TRUE(space
+                    .map(base + image.data_offset(),
+                         image.data_region_size(), vm::kPermRW)
+                    .ok());
+    LoadOptions options;
+    options.map_pages = false; // Occlum's preallocated slot
+    auto first = load_image(space, image, base, {"p"}, options);
+    ASSERT_TRUE(first.ok());
+
+    // Reloading a slot whose code nobody fetched leaves other blocks
+    // alone.
+    uint64_t gen = space.code_generation();
+    ASSERT_TRUE(load_image(space, image, base, {"p"}, options).ok());
+    EXPECT_EQ(space.code_generation(), gen);
+
+    // Once the old code was fetched, the reload must invalidate.
+    uint8_t window[16];
+    ASSERT_EQ(space.fetch(first.value().entry, window, sizeof(window)),
+              vm::AccessFault::kNone);
+    gen = space.code_generation();
+    ASSERT_TRUE(load_image(space, image, base, {"p"}, options).ok());
+    EXPECT_GT(space.code_generation(), gen);
 }
 
 TEST(Loader, RejectsOversizedArgv)

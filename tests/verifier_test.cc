@@ -6,9 +6,16 @@
  */
 #include <gtest/gtest.h>
 
+#include <iostream>
+#include <map>
+#include <sstream>
+#include <tuple>
+
 #include "isa/assembler.h"
 #include "toolchain/minic.h"
 #include "verifier/verifier.h"
+#include "workloads/ripe.h"
+#include "workloads/workloads.h"
 
 namespace occlum::verifier {
 namespace {
@@ -447,6 +454,228 @@ TEST(Verifier, SignsOnlyVerifiedImages)
     auto bad = toolchain::compile("func main() { return 1; }", plain);
     ASSERT_TRUE(bad.ok());
     EXPECT_FALSE(v.verify_and_sign(bad.value().image).ok());
+}
+
+// ---- pinned reports ----------------------------------------------------------
+
+/** The report fields a verifier rewrite must leave unchanged. */
+std::string
+describe(const VerifyReport &r)
+{
+    std::ostringstream out;
+    out << "ok=" << r.ok << " stage=" << r.failed_stage << " reason='"
+        << r.reason << "' at=" << r.fail_address
+        << " reach=" << r.reachable_instructions
+        << " labels=" << r.cfi_labels;
+    return out.str();
+}
+
+/** Compare `actual` against `golden`; print every entry on a miss so a
+ *  deliberate re-pin is a copy-paste. */
+void
+expect_golden(const std::map<std::string, std::string> &golden,
+              const std::map<std::string, std::string> &actual)
+{
+    EXPECT_EQ(golden.size(), actual.size());
+    bool all_match = golden.size() == actual.size();
+    for (const auto &[name, desc] : actual) {
+        auto it = golden.find(name);
+        bool match = it != golden.end() && it->second == desc;
+        EXPECT_TRUE(match) << name << ": " << desc;
+        all_match = all_match && match;
+    }
+    if (!all_match) {
+        for (const auto &[name, desc] : actual) {
+            std::cout << "        {\"" << name << "\",\n         \""
+                      << desc << "\"},\n";
+        }
+    }
+}
+
+/** Every workload program, with the padding perfbench builds it with
+ *  where that differs from none. */
+std::vector<std::tuple<std::string, std::string, uint64_t>>
+workload_programs()
+{
+    std::vector<std::tuple<std::string, std::string, uint64_t>> programs = {
+        {"fish_driver", workloads::fish_driver_source(), 0},
+        {"gcc_driver", workloads::gcc_driver_source(), 512 << 10},
+        {"httpd_master", workloads::httpd_master_source(), 0},
+        {"httpd_worker", workloads::httpd_worker_source(), 0},
+        {"httpd_poll", workloads::httpd_poll_source(), 0},
+        {"httpd_epoll", workloads::httpd_epoll_source(), 0},
+        {"proxy_frontend", workloads::proxy_frontend_source(), 0},
+        {"proxy_backend", workloads::proxy_backend_source(), 0},
+        {"spawn_noop", workloads::spawn_noop_source(), 0},
+        {"pipe_writer", workloads::pipe_writer_source(), 0},
+        {"pipe_reader", workloads::pipe_reader_source(), 0},
+        {"file_write_bench", workloads::file_write_bench_source(), 0},
+        {"file_read_bench", workloads::file_read_bench_source(), 0},
+    };
+    for (const char *name : {"gen", "sort", "grep", "od", "wc"}) {
+        programs.emplace_back(std::string("fish_") + name,
+                              workloads::fish_utility_source(name), 0);
+    }
+    for (const char *stage : {"cpp", "as", "ld"}) {
+        programs.emplace_back(std::string("gcc_") + stage,
+                              workloads::gcc_stage_source(stage), 1 << 20);
+    }
+    programs.emplace_back("gcc_cc1", workloads::gcc_stage_source("cc1"),
+                          14 << 20);
+    for (const std::string &name : workloads::spec_kernel_names()) {
+        programs.emplace_back("spec_" + name,
+                              workloads::spec_kernel_source(name), 0);
+    }
+    return programs;
+}
+
+TEST(VerifierGolden, WorkloadProgramReportsArePinned)
+{
+    static const std::map<std::string, std::string> golden = {
+        {"file_read_bench",
+         "ok=1 stage=0 reason='' at=0 reach=1699 labels=105"},
+        {"file_write_bench",
+         "ok=1 stage=0 reason='' at=0 reach=1741 labels=109"},
+        {"fish_driver",
+         "ok=1 stage=0 reason='' at=0 reach=2103 labels=125"},
+        {"fish_gen",
+         "ok=1 stage=0 reason='' at=0 reach=1658 labels=94"},
+        {"fish_grep",
+         "ok=1 stage=0 reason='' at=0 reach=1696 labels=95"},
+        {"fish_od",
+         "ok=1 stage=0 reason='' at=0 reach=1676 labels=95"},
+        {"fish_sort",
+         "ok=1 stage=0 reason='' at=0 reach=1805 labels=95"},
+        {"fish_wc",
+         "ok=1 stage=0 reason='' at=0 reach=1668 labels=98"},
+        {"gcc_as",
+         "ok=1 stage=0 reason='' at=0 reach=1711 labels=95"},
+        {"gcc_cc1",
+         "ok=1 stage=0 reason='' at=0 reach=1711 labels=95"},
+        {"gcc_cpp",
+         "ok=1 stage=0 reason='' at=0 reach=1711 labels=95"},
+        {"gcc_driver",
+         "ok=1 stage=0 reason='' at=0 reach=1964 labels=117"},
+        {"gcc_ld",
+         "ok=1 stage=0 reason='' at=0 reach=1726 labels=98"},
+        {"httpd_epoll",
+         "ok=1 stage=0 reason='' at=0 reach=1829 labels=108"},
+        {"httpd_master",
+         "ok=1 stage=0 reason='' at=0 reach=1766 labels=101"},
+        {"httpd_poll",
+         "ok=1 stage=0 reason='' at=0 reach=1908 labels=105"},
+        {"httpd_worker",
+         "ok=1 stage=0 reason='' at=0 reach=1690 labels=101"},
+        {"pipe_reader",
+         "ok=1 stage=0 reason='' at=0 reach=1686 labels=103"},
+        {"pipe_writer",
+         "ok=1 stage=0 reason='' at=0 reach=1679 labels=99"},
+        {"proxy_backend",
+         "ok=1 stage=0 reason='' at=0 reach=1691 labels=98"},
+        {"proxy_frontend",
+         "ok=1 stage=0 reason='' at=0 reach=2285 labels=121"},
+        {"spawn_noop",
+         "ok=1 stage=0 reason='' at=0 reach=1599 labels=93"},
+        {"spec_astar",
+         "ok=1 stage=0 reason='' at=0 reach=1762 labels=93"},
+        {"spec_bzip2",
+         "ok=1 stage=0 reason='' at=0 reach=1761 labels=93"},
+        {"spec_gcc",
+         "ok=1 stage=0 reason='' at=0 reach=1711 labels=93"},
+        {"spec_gobmk",
+         "ok=1 stage=0 reason='' at=0 reach=1748 labels=93"},
+        {"spec_h264ref",
+         "ok=1 stage=0 reason='' at=0 reach=1725 labels=93"},
+        {"spec_hmmer",
+         "ok=1 stage=0 reason='' at=0 reach=1754 labels=93"},
+        {"spec_libquantum",
+         "ok=1 stage=0 reason='' at=0 reach=1712 labels=93"},
+        {"spec_mcf",
+         "ok=1 stage=0 reason='' at=0 reach=1786 labels=93"},
+        {"spec_omnetpp",
+         "ok=1 stage=0 reason='' at=0 reach=1988 labels=98"},
+        {"spec_perlbench",
+         "ok=1 stage=0 reason='' at=0 reach=1697 labels=93"},
+        {"spec_sjeng",
+         "ok=1 stage=0 reason='' at=0 reach=1752 labels=96"},
+        {"spec_xalancbmk",
+         "ok=1 stage=0 reason='' at=0 reach=1775 labels=94"},
+    };
+    Verifier verifier(test_key());
+    std::map<std::string, std::string> actual;
+    for (const auto &[name, source, pad] : workload_programs()) {
+        CompileOptions options;
+        options.pad_code_to = pad;
+        if (pad != 0) {
+            options.code_reserve = 16 << 20; // perfbench's reserve
+        }
+        auto out = toolchain::compile(source, options);
+        ASSERT_TRUE(out.ok()) << name << ": " << out.error().message;
+        actual[name] = describe(verifier.verify(out.value().image));
+    }
+    expect_golden(golden, actual);
+}
+
+TEST(VerifierGolden, RipeAttackReportsArePinned)
+{
+    static const std::map<std::string, std::string> golden = {
+        {"cross_domain_jump",
+         "ok=1 stage=0 reason='' at=0 reach=9 labels=1"},
+        {"cross_domain_jump/plain",
+         "ok=0 stage=3 reason='register-indirect transfer without cfi_guard' at=26 reach=6 labels=1"},
+        {"inject_data",
+         "ok=1 stage=0 reason='' at=0 reach=24 labels=1"},
+        {"inject_data/plain",
+         "ok=0 stage=3 reason='register-indirect transfer without cfi_guard' at=85 reach=15 labels=1"},
+        {"inject_heap",
+         "ok=1 stage=0 reason='' at=0 reach=24 labels=1"},
+        {"inject_heap/plain",
+         "ok=0 stage=3 reason='register-indirect transfer without cfi_guard' at=85 reach=15 labels=1"},
+        {"inject_stack",
+         "ok=1 stage=0 reason='' at=0 reach=24 labels=1"},
+        {"inject_stack/plain",
+         "ok=0 stage=3 reason='register-indirect transfer without cfi_guard' at=85 reach=15 labels=1"},
+        {"ret2libc",
+         "ok=1 stage=0 reason='' at=0 reach=22 labels=3"},
+        {"ret2libc/plain",
+         "ok=0 stage=3 reason='register-indirect transfer without cfi_guard' at=24 reach=14 labels=3"},
+        {"rop_function_tail",
+         "ok=1 stage=0 reason='' at=0 reach=11 labels=2"},
+        {"rop_function_tail/plain",
+         "ok=0 stage=2 reason='dangerous instruction: hlt' at=44 reach=8 labels=2"},
+        {"rop_mid_instruction",
+         "ok=1 stage=0 reason='' at=0 reach=9 labels=1"},
+        {"rop_mid_instruction/plain",
+         "ok=0 stage=3 reason='register-indirect transfer without cfi_guard' at=30 reach=6 labels=1"},
+    };
+    Verifier verifier(test_key());
+    std::map<std::string, std::string> actual;
+    for (const std::string &name : workloads::ripe_attack_names()) {
+        actual[name] =
+            describe(verifier.verify(workloads::ripe_attack(name, true)));
+        actual[name + "/plain"] =
+            describe(verifier.verify(workloads::ripe_attack(name, false)));
+    }
+    expect_golden(golden, actual);
+}
+
+TEST(VerifierGolden, LabelMagicInsideADomainIdFieldIsASecondRoot)
+{
+    // A label whose domain-ID field is itself the magic: the scan
+    // finds both occurrences, so the second one becomes a root that
+    // overlaps the first label and stage 1 rejects at offset 4.
+    Assembler a;
+    a.cfi_label(isa::cfi_label_value(0) & 0xffffffffu);
+    spin(a);
+    oelf::Image image = image_from(a);
+    ASSERT_TRUE(std::equal(std::begin(isa::kCfiMagic),
+                           std::end(isa::kCfiMagic),
+                           image.code.begin() + 4));
+    Verifier verifier(test_key());
+    VerifyReport r = verifier.verify(image);
+    EXPECT_EQ(describe(r),
+              "ok=0 stage=1 reason='overlapping reachable instructions' "
+              "at=4 reach=0 labels=0");
 }
 
 } // namespace

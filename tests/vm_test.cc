@@ -97,6 +97,51 @@ TEST(AddressSpace, CrossPageAccess)
     EXPECT_EQ(space.write(0x2ffc, &v, 8), AccessFault::kUnmapped);
 }
 
+TEST(AddressSpace, TrustedZeroWritesKeepLazyPagesLazy)
+{
+    AddressSpace space;
+    ASSERT_TRUE(space.map(0x1000, 0x4000, kPermRX).ok());
+    // Page 0x1000 was fetched under the current generation: a write
+    // that changes it must bump, one that cannot change it must not.
+    uint8_t window[8];
+    ASSERT_EQ(space.fetch(0x1000, window, 8), AccessFault::kNone);
+    uint64_t gen = space.code_generation();
+
+    // Four pages: zeros, zeros with one 0xAB byte, zeros, zeros.
+    Bytes chunk(0x4000, 0);
+    chunk[0x1800] = 0xAB;
+    ASSERT_EQ(space.write_raw(0x1000, chunk.data(), chunk.size()),
+              AccessFault::kNone);
+    EXPECT_EQ(space.resident_pages(0x1000, 0x4000), 1u);
+    EXPECT_EQ(space.resident_pages(0x2000, 0x1000), 1u);
+    EXPECT_EQ(space.code_generation(), gen);
+    Bytes back(chunk.size(), 0xFF);
+    ASSERT_EQ(space.read_raw(0x1000, back.data(), back.size()),
+              AccessFault::kNone);
+    EXPECT_EQ(back, chunk);
+
+    // Single-page path, and zeros into a materialized page are
+    // written (they clear the 0xAB).
+    uint64_t zero = 0;
+    EXPECT_EQ(space.write_raw(0x3000, &zero, 8), AccessFault::kNone);
+    EXPECT_EQ(space.write_raw(0x2800, &zero, 8), AccessFault::kNone);
+    EXPECT_EQ(space.resident_pages(0x1000, 0x4000), 1u);
+    uint8_t cleared = 0xFF;
+    ASSERT_EQ(space.read_raw(0x2800, &cleared, 1), AccessFault::kNone);
+    EXPECT_EQ(cleared, 0);
+
+    // A non-zero write into the fetched page materializes and bumps.
+    uint8_t one = 1;
+    EXPECT_EQ(space.write_raw(0x1004, &one, 1), AccessFault::kNone);
+    EXPECT_EQ(space.resident_pages(0x1000, 0x1000), 1u);
+    EXPECT_GT(space.code_generation(), gen);
+
+    // Guest writes of zeros still materialize (checked path unchanged).
+    ASSERT_TRUE(space.map(0x8000, 0x1000, kPermRW).ok());
+    EXPECT_EQ(space.write(0x8000, &zero, 8), AccessFault::kNone);
+    EXPECT_EQ(space.resident_pages(0x8000, 0x1000), 1u);
+}
+
 TEST(Cpu, ArithmeticAndMov)
 {
     VmHarness h;
