@@ -5,8 +5,9 @@
  *
  * Leg A — spawn/compute throughput: a parent SIP spawns N children
  * (N in {4, 64, 256}), each crunching a fixed loop, and reaps them
- * all. With one core the children serialize; with C cores up to C
- * run per round, so aggregate jobs/s must rise monotonically from
+ * all. Every runnable SIP runs one quantum per round; with one core
+ * the quanta serialize, with C cores the C queue walks overlap in
+ * simulated time, so aggregate jobs/s must rise monotonically from
  * 1 to 4 cores once the SIP count exceeds the core count.
  *
  * Leg B — lighttpd-epoll leg: the epoll reverse proxy (frontend +
@@ -183,8 +184,9 @@ spawn_leg(bench::JsonReport &report)
         }
     }
     table.print();
-    std::printf("\nChildren are pure compute: with C cores, C quanta "
-                "run per round barrier, so jobs/s scales until the "
+    std::printf("\nChildren are pure compute: every runnable SIP runs "
+                "one quantum per round, and the C cores' walks overlap "
+                "in simulated time, so jobs/s scales until the "
                 "runnable set is thinner than the core count.\n");
 }
 

@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
-# CI job: the SMP scheduler (DESIGN.md §3.4) across core counts.
+# CI job: the scheduler (DESIGN.md §3.4) across core counts.
 #
-#   leg 1: the full tier-1 suite with OCCLUM_CORES=1 — the unicore
-#          path must reproduce the pre-SMP kernel exactly (the env
-#          var only reaches OcclumSystem-based tests; the targeted
-#          Smp.* / EpollWorkload.* batteries sweep core counts
+#   leg 1: the full tier-1 suite with OCCLUM_CORES=1 — one core is
+#          the degenerate round (one walk, nothing to steal) and must
+#          reproduce the pre-SMP kernel exactly (the env var only
+#          reaches OcclumSystem-based tests; the targeted Smp.* /
+#          Scheduler.* / EpollWorkload.* batteries sweep core counts
 #          internally on LinuxSystem regardless),
 #   leg 2: the full tier-1 suite with OCCLUM_CORES=4 — every
 #          OcclumSystem scenario reruns over per-core run queues,

@@ -572,10 +572,9 @@ Result<Instruction>
 decode(const uint8_t *code, size_t size, size_t offset, uint64_t vaddr)
 {
     auto fail = [&](const std::string &why) -> Result<Instruction> {
-        return Error(ErrorCode::kNoExec,
-                     "decode @0x" + to_hex(
-                         reinterpret_cast<const uint8_t *>(&vaddr), 8) +
-                     ": " + why);
+        std::ostringstream ss;
+        ss << "decode @0x" << std::hex << vaddr << ": " << why;
+        return Error(ErrorCode::kNoExec, ss.str());
     };
     if (offset >= size) {
         return fail("out of range");

@@ -512,12 +512,6 @@ Kernel::mark_wake_pending(Process &proc)
 }
 
 void
-Kernel::wake_process(Process &proc)
-{
-    mark_wake_pending(proc);
-}
-
-void
 Kernel::arm_timer(Process &proc, uint64_t when)
 {
     if (when >= proc.wake_time) {
@@ -744,17 +738,8 @@ Kernel::run_one_quantum(Process &proc)
 }
 
 bool
-Kernel::step_round()
+Kernel::walk_core(int core, int cap)
 {
-    return num_cores_ == 1 ? step_round_uni() : step_round_smp();
-}
-
-bool
-Kernel::step_round_uni()
-{
-    OCC_TRACE_SPAN(kSched, "sched.round");
-    any_progress_ = false;
-    fire_due_timers();
     // The walk visits runnable and wake-pending pids in ascending
     // order. A woken process is dispatched at exactly the walk slot
     // where the old retry-polling scheduler's retry would have
@@ -763,35 +748,48 @@ Kernel::step_round_uni()
     // the round first run next round, as they did when the walk
     // iterated a pid snapshot taken at round start. (Spawns cannot
     // land *below* the resume cursor: pids are strictly monotonic,
-    // so every new pid is above last_existing_pid — the SMP walk
-    // keeps the same rule via its round-start snapshot.)
-    std::set<int> &run_queue_ = run_queues_[0];
-    const int last_existing_pid = next_pid_ - 1;
+    // so every new pid is above cap.)
+    std::set<int> &queue = run_queues_[core];
+    bool ran_quantum = false;
     int last = 0; // pids start at 1
     for (;;) {
-        auto rit = run_queue_.upper_bound(last);
-        if (rit == run_queue_.end() || *rit > last_existing_pid) {
+        auto rit = queue.upper_bound(last);
+        if (rit == queue.end() || *rit > cap) {
             break;
         }
         int pid = *rit;
         last = pid;
         auto it = procs_.find(pid);
         if (it == procs_.end()) {
-            run_queue_.erase(pid);
+            queue.erase(pid);
             continue;
         }
         Process &proc = *it->second;
         if (proc.state == ProcState::kDead) {
-            run_queue_.erase(pid);
+            queue.erase(pid);
             continue;
         }
-        if (proc.state == ProcState::kBlocked) {
-            if (!proc.wake_pending) {
-                // Stale entry (the process blocked after joining the
-                // walk); it leaves until an explicit wakeup.
-                run_queue_.erase(pid);
-                continue;
+        if (proc.state == ProcState::kBlocked && !proc.wake_pending) {
+            // Stale entry (the process blocked after joining the
+            // walk); it leaves until an explicit wakeup.
+            queue.erase(pid);
+            continue;
+        }
+        if (proc.ran_round == round_seq_) {
+            // An earlier core stole this SIP this round. If runnable,
+            // it already had its quantum. If wake-pending, its stolen
+            // quantum blocked and a later wake landed here: retrying
+            // now would complete the syscall on this core's timeline,
+            // which rewound to the round start, overlapping the SIP's
+            // own quantum in simulated time. Keep wake_pending set
+            // and retry next round instead.
+            if (proc.wake_pending) {
+                ctr_deferred_retries_->add();
             }
+            continue;
+        }
+        proc.ran_round = round_seq_;
+        if (proc.state == ProcState::kBlocked) {
             proc.wake_pending = false;
             ctr_sched_visits_->add();
             // Retry the in-flight syscall.
@@ -807,18 +805,18 @@ Kernel::step_round_uni()
             fire_due_timers();
             continue;
         }
+        ran_quantum = true;
+        if (num_cores_ > 1) {
+            core_ctrs_[core].quanta->add();
+        }
         run_one_quantum(proc);
         // Quanta advance the clock; timers that came due mid-round
         // wake their processes before the walk reaches their pid, the
         // same slot the old per-round retry would have succeeded at.
         fire_due_timers();
     }
-    return any_progress_;
+    return ran_quantum;
 }
-
-// ---------------------------------------------------------------------
-// SMP scheduling (cores > 1)
-// ---------------------------------------------------------------------
 
 void
 Kernel::set_cores(int cores)
@@ -835,7 +833,6 @@ Kernel::set_cores(int cores)
                   "set_cores must run before the first spawn");
     num_cores_ = cores;
     run_queues_.assign(static_cast<size_t>(cores), {});
-    core_rotor_.assign(static_cast<size_t>(cores), 0);
     aex_countdown_.assign(static_cast<size_t>(cores), 0);
     core_ctrs_.clear();
     if (cores > 1) {
@@ -856,110 +853,23 @@ Kernel::set_cores(int cores)
     }
 }
 
-void
-Kernel::smp_drain_wake_pending(int core, int cap)
-{
-    // Snapshot first: a successful retry can wake further pids onto
-    // this queue (they run next round) or kill entries outright.
-    std::vector<int> pending;
-    std::set<int> &queue = run_queues_[core];
-    for (auto it = queue.begin(); it != queue.end() && *it <= cap;) {
-        auto pit = procs_.find(*it);
-        if (pit == procs_.end() ||
-            pit->second->state == ProcState::kDead) {
-            it = queue.erase(it);
-            continue;
-        }
-        if (pit->second->state == ProcState::kBlocked &&
-            pit->second->wake_pending) {
-            pending.push_back(*it);
-        }
-        ++it;
-    }
-    for (int pid : pending) {
-        auto it = procs_.find(pid);
-        if (it == procs_.end()) {
-            run_queues_[core].erase(pid);
-            continue;
-        }
-        Process &proc = *it->second;
-        if (proc.state != ProcState::kBlocked || !proc.wake_pending) {
-            continue; // state changed under an earlier retry
-        }
-        if (proc.ran_round == round_seq_) {
-            // Stolen-then-woken hazard: an idle core stole this SIP
-            // earlier in the round, its quantum blocked in a syscall,
-            // and a later core's quantum woke it. Retrying now would
-            // complete the syscall on the home core's timeline —
-            // which rewound to the round start — so the SIP would
-            // effectively run twice in one round, overlapping its own
-            // stolen quantum in simulated time. Keep wake_pending set
-            // and retry next round instead.
-            ctr_deferred_retries_->add();
-            continue;
-        }
-        proc.wake_pending = false;
-        ctr_sched_visits_->add();
-        {
-            OCC_TRACE_SPAN(kLibos, abi::sys_name(proc.sys_num),
-                           static_cast<uint64_t>(pid));
-            if (handle_syscall(proc)) {
-                any_progress_ = true;
-            } else {
-                ctr_wasted_retries_->add();
-            }
-        }
-    }
-}
-
 int
-Kernel::smp_pick(int core, int cap, bool &stolen)
+Kernel::steal_pick(int core, int cap)
 {
-    stolen = false;
-    auto eligible = [&](int pid) -> Process * {
+    // Eligible: runnable and not yet visited this round. Every pid an
+    // earlier core walked is stamped, so steals come from later cores.
+    auto eligible = [&](int pid) {
         auto it = procs_.find(pid);
-        if (it == procs_.end()) {
-            return nullptr;
-        }
-        Process &proc = *it->second;
-        if (proc.state != ProcState::kRunnable ||
-            proc.ran_round == round_seq_) {
-            return nullptr;
-        }
-        return &proc;
+        return it != procs_.end() &&
+               it->second->state == ProcState::kRunnable &&
+               it->second->ran_round != round_seq_;
     };
-    // Own queue: next eligible pid above the rotor, wrapping once.
-    std::set<int> &own = run_queues_[core];
-    for (int pass = 0; pass < 2; ++pass) {
-        int from = pass == 0 ? core_rotor_[core] : 0;
-        for (auto it = own.upper_bound(from);
-             it != own.end() && *it <= cap;) {
-            int pid = *it;
-            auto pit = procs_.find(pid);
-            if (pit == procs_.end() ||
-                pit->second->state == ProcState::kDead ||
-                (pit->second->state == ProcState::kBlocked &&
-                 !pit->second->wake_pending)) {
-                // Dead or stale entry: drop it from the walk.
-                it = own.erase(it);
-                continue;
-            }
-            if (eligible(pid)) {
-                core_rotor_[core] = pid;
-                return pid;
-            }
-            ++it;
-        }
-        if (core_rotor_[core] == 0) {
-            break; // the first pass already started at the bottom
-        }
-    }
-    // Idle: deterministic steal. Victim = the most-loaded other core
-    // (eligible pids only; ties to the lowest core index), and only
-    // when it has at least two eligible pids — taking a lone pid
-    // would just migrate work without adding parallelism. The stolen
-    // pid is the victim's lowest eligible (it waited longest at the
-    // bottom of an over-long queue).
+    // Victim = the most-loaded other core (eligible pids only; ties to
+    // the lowest core index), and only when it has at least two
+    // eligible pids — taking a lone pid would just migrate work
+    // without adding parallelism. The stolen pid is the victim's
+    // lowest eligible (it waited longest at the bottom of an
+    // over-long queue).
     int victim = -1;
     int victim_count = 1;
     for (int other = 0; other < num_cores_; ++other) {
@@ -988,7 +898,6 @@ Kernel::smp_pick(int core, int cap, bool &stolen)
             break;
         }
         if (eligible(pid)) {
-            stolen = true;
             return pid;
         }
     }
@@ -996,39 +905,36 @@ Kernel::smp_pick(int core, int cap, bool &stolen)
 }
 
 bool
-Kernel::step_round_smp()
+Kernel::step_round()
 {
     OCC_TRACE_SPAN(kSched, "sched.round");
     any_progress_ = false;
     fire_due_timers();
     ++round_seq_;
-    // Round barrier: every core replays its share of the round from
-    // the same start time; the clock then advances to the slowest
-    // core's end time. Cores therefore run in parallel in simulated
-    // time while the host executes them sequentially in core order —
-    // completion order is a pure function of (seed, plan, cores).
+    // Round barrier: every core walks its own queue from the same
+    // start time; the clock then advances to the slowest core's end
+    // time. Cores therefore run in parallel in simulated time while
+    // the host executes them sequentially in core order — completion
+    // order is a pure function of (seed, plan, cores). With one core
+    // the rewind and the barrier are no-ops: the round is one walk.
     const int cap = next_pid_ - 1; // spawns run next round
     const uint64_t round_start = clock_->cycles();
     uint64_t round_end = round_start;
     for (int core = 0; core < num_cores_; ++core) {
         current_core_ = core;
         clock_->set_cycles(round_start);
-        // Phase 1: retry dispatches for woken pids homed here (they
-        // charge syscall work to this core's share of the round).
-        smp_drain_wake_pending(core, cap);
-        // Phase 2: one user quantum — own queue first, else steal.
-        bool stolen = false;
-        int pid = smp_pick(core, cap, stolen);
-        if (pid > 0) {
-            Process &proc = *procs_.find(pid)->second;
-            proc.ran_round = round_seq_;
-            core_ctrs_[core].quanta->add();
-            if (stolen) {
+        // A core whose walk ran no quantum steals one.
+        if (!walk_core(core, cap)) {
+            int pid = steal_pick(core, cap);
+            if (pid > 0) {
+                Process &proc = *procs_.find(pid)->second;
+                proc.ran_round = round_seq_;
+                core_ctrs_[core].quanta->add();
                 core_ctrs_[core].steals->add();
                 OCC_TRACE_INSTANT(kSched, "sched.steal",
                                   static_cast<uint64_t>(pid));
+                run_one_quantum(proc);
             }
-            run_one_quantum(proc);
         }
         round_end = std::max(round_end, clock_->cycles());
     }

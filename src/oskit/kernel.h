@@ -66,9 +66,10 @@ struct Process {
      */
     int home_core = 0;
     /**
-     * Round sequence number of the last quantum this process ran
-     * (SMP only). A pid stolen by an earlier core in the round must
-     * not run again when a later core scans its home queue.
+     * Round sequence number of the last scheduler visit (quantum or
+     * retry). A pid stolen by an earlier core in the round must not
+     * run again when its home core walks it, and a pid already
+     * walked is not stolen.
      */
     uint64_t ran_round = 0;
     ProcState state = ProcState::kRunnable;
@@ -239,10 +240,16 @@ class Kernel
                       const std::array<int64_t, 3> *stdio_fds = nullptr);
 
     /**
-     * Run one scheduler round over all processes. Returns true if any
-     * process made progress (executed instructions or completed a
-     * syscall). When false, callers may advance the clock to
-     * next_wake_time() or conclude the system is idle.
+     * Run one scheduler round: every core, in index order and from
+     * the same start time, walks its own queue once in ascending pid
+     * order, retrying wake-pending pids and running one quantum per
+     * runnable pid; a core whose walk ran no quantum steals one from
+     * the most-loaded other core. The clock then jumps to the latest
+     * core's end. Pids spawned during the round first run next round.
+     * Returns true if any process made progress (executed
+     * instructions or completed a syscall). When false, callers may
+     * advance the clock to next_wake_time() or conclude the system is
+     * idle.
      */
     bool step_round();
 
@@ -261,11 +268,10 @@ class Kernel
 
     /**
      * Configure the number of simulated cores. Must be called before
-     * the first spawn (home cores are assigned at spawn). cores == 1
-     * (the default) runs the exact single-queue walk this kernel has
-     * always had — bit-identical cycle streams; cores > 1 switches to
-     * per-core run queues with deterministic work stealing under a
-     * per-round core barrier (see step_round_smp).
+     * the first spawn (home cores are assigned at spawn). Each core
+     * has its own run queue (see step_round); cores == 1 (the
+     * default) is the degenerate case, one walk over one queue with
+     * nothing to steal from.
      */
     void set_cores(int cores);
     int cores() const { return num_cores_; }
@@ -306,9 +312,6 @@ class Kernel
      * the waiters queued so earlier events can still reach them.
      */
     void wake_queue(WaitQueue &queue, uint64_t when);
-
-    /** Immediate wakeup of one blocked process (if any is blocked). */
-    void wake_process(Process &proc);
 
   private:
     /** Route a queue notification to its epoll watches (wake_queue). */
@@ -436,20 +439,19 @@ class Kernel
     bool timer_entry_live(uint64_t when, int pid) const;
     void compact_timers_if_worthwhile() const;
 
-    /** The classic single-queue walk (cores == 1, bit-identical). */
-    bool step_round_uni();
-    /** Per-core walks under the round barrier (cores > 1). */
-    bool step_round_smp();
-    /** Retry every wake-pending pid homed on `core` (pids <= cap). */
-    void smp_drain_wake_pending(int core, int cap);
     /**
-     * Pick the pid core `core` executes this round: the next eligible
-     * pid on its own queue above the rotor (wrapping once), else a
-     * steal — the lowest eligible pid from the most-loaded other
-     * queue (ties: lowest core index), only when the victim has at
-     * least two eligible pids left. Returns -1 when the core idles.
+     * Walk core `core`'s queue once in ascending pid order (pids <=
+     * cap): retry each wake-pending pid, run one quantum of each
+     * runnable one. Returns whether any quantum ran.
      */
-    int smp_pick(int core, int cap, bool &stolen);
+    bool walk_core(int core, int cap);
+    /**
+     * The pid an idle core steals: the lowest runnable, not yet
+     * visited pid of the most-loaded other queue (ties: lowest core
+     * index), only when the victim has at least two such pids.
+     * Returns -1 when there is nothing to steal.
+     */
+    int steal_pick(int core, int cap);
     /** One quantum + exit handling for a runnable process. */
     void run_one_quantum(Process &proc);
 
@@ -488,7 +490,7 @@ class Kernel
     trace::Counter *ctr_wakeups_;
     trace::Counter *ctr_wasted_retries_;
     /** Wake-pending retries pushed to the next round because the SIP
-     *  already ran a (stolen) quantum this round. */
+     *  already ran a stolen quantum this round. */
     trace::Counter *ctr_deferred_retries_;
     trace::Counter *ctr_poll_calls_;
     trace::Counter *ctr_sched_visits_;
@@ -513,18 +515,11 @@ class Kernel
         return run_queues_[proc.home_core];
     }
 
-    // ---- SMP state (inert at cores == 1) ---------------------------
+    // ---- cores ------------------------------------------------------
     int num_cores_ = 1;
     int current_core_ = 0;
     /** Monotonic round counter stamping Process::ran_round. */
     uint64_t round_seq_ = 0;
-    /**
-     * Per-core walk rotor: the last pid the core ran from its own
-     * queue. The next pick resumes above it (wrapping once), so a
-     * core's SIPs share quanta round-robin instead of the lowest pid
-     * monopolizing the core.
-     */
-    std::vector<int> core_rotor_{0};
     /** Per-core metrics, registered by set_cores when cores > 1. */
     struct CoreCounters {
         trace::Counter *quanta = nullptr;

@@ -26,8 +26,7 @@ namespace {
 
 /**
  * Dispatch-label table published by the first (probe) call into
- * exec_superblock on computed-goto builds; stays null under the
- * switch fallback. Label addresses are per-function constants, so one
+ * exec_superblock. Label addresses are per-function constants, so one
  * table serves every Cpu instance.
  */
 const void *const *g_sb_label_table = nullptr;
@@ -100,55 +99,6 @@ bind_ea(Uop *u, const isa::MemOperand &mem, uint64_t instr_end)
         break;
     }
 }
-
-/**
- * Execute one kAluPack component. Callers inline this per component
- * slot, so under computed-goto dispatch each slot gets its own
- * jump-table branch with a stable per-trace target.
- */
-#if defined(__GNUC__) || defined(__clang__)
-__attribute__((always_inline))
-#endif
-[[maybe_unused]] inline void
-exec_alu(uint64_t *regs, uint8_t code, uint8_t rd, uint8_t rs,
-         int64_t imm)
-{
-    uint64_t v = static_cast<uint64_t>(imm);
-    switch (static_cast<UopKind>(code)) {
-      case UopKind::kMovRI: regs[rd] = v; break;
-      case UopKind::kMovRR: regs[rd] = regs[rs]; break;
-      case UopKind::kAddRI: regs[rd] += v; break;
-      case UopKind::kAddRR: regs[rd] += regs[rs]; break;
-      case UopKind::kSubRI: regs[rd] -= v; break;
-      case UopKind::kSubRR: regs[rd] -= regs[rs]; break;
-      case UopKind::kMulRI: regs[rd] *= v; break;
-      case UopKind::kMulRR: regs[rd] *= regs[rs]; break;
-      case UopKind::kAndRI: regs[rd] &= v; break;
-      case UopKind::kAndRR: regs[rd] &= regs[rs]; break;
-      case UopKind::kOrRI: regs[rd] |= v; break;
-      case UopKind::kOrRR: regs[rd] |= regs[rs]; break;
-      case UopKind::kXorRI: regs[rd] ^= v; break;
-      case UopKind::kXorRR: regs[rd] ^= regs[rs]; break;
-      case UopKind::kShlRI: regs[rd] <<= (imm & 63); break;
-      case UopKind::kShrRI: regs[rd] >>= (imm & 63); break;
-      case UopKind::kSarRI:
-        regs[rd] = static_cast<uint64_t>(
-            static_cast<int64_t>(regs[rd]) >> (imm & 63));
-        break;
-      case UopKind::kShlRR: regs[rd] <<= (regs[rs] & 63); break;
-      case UopKind::kShrRR: regs[rd] >>= (regs[rs] & 63); break;
-      case UopKind::kSarRR:
-        regs[rd] = static_cast<uint64_t>(
-            static_cast<int64_t>(regs[rd]) >> (regs[rs] & 63));
-        break;
-      default:
-        OCC_PANIC("non-packable code in kAluPack");
-    }
-}
-
-} // namespace
-
-namespace {
 
 /**
  * rip -> uop index for the trace being built: open-addressed, linear
@@ -592,26 +542,24 @@ Cpu::promote_superblock(uint64_t entry_rip)
         uint64_t none = 0;
         exec_superblock(sb, 0, &none, nullptr);
     }
-    if (g_sb_label_table != nullptr) {
-        for (Uop &u : sb.uops) {
-            u.handler = g_sb_label_table[static_cast<size_t>(u.kind)];
-            // Memory uops bind the width-constant body variant (the
-            // extension slots past kNumUopKinds) so the hot loop never
-            // branches on op->size.
-            int group;
-            switch (u.kind) {
-              case UopKind::kLoad:     group = 0; break;
-              case UopKind::kStore:    group = 1; break;
-              case UopKind::kLoadChk:  group = 2; break;
-              case UopKind::kStoreChk: group = 3; break;
-              case UopKind::kLoadAlu:  group = 4; break;
-              default:                 group = -1; break;
-            }
-            if (group >= 0) {
-                int w = u.size == 8 ? 0 : u.size == 4 ? 1 : 2;
-                u.handler = g_sb_label_table
-                    [kNumUopKinds + static_cast<size_t>(group * 3 + w)];
-            }
+    for (Uop &u : sb.uops) {
+        u.handler = g_sb_label_table[static_cast<size_t>(u.kind)];
+        // Memory uops bind the width-constant body variant (the
+        // extension slots past kNumUopKinds) so the hot loop never
+        // branches on op->size.
+        int group;
+        switch (u.kind) {
+          case UopKind::kLoad:     group = 0; break;
+          case UopKind::kStore:    group = 1; break;
+          case UopKind::kLoadChk:  group = 2; break;
+          case UopKind::kStoreChk: group = 3; break;
+          case UopKind::kLoadAlu:  group = 4; break;
+          default:                 group = -1; break;
+        }
+        if (group >= 0) {
+            int w = u.size == 8 ? 0 : u.size == 4 ? 1 : 2;
+            u.handler = g_sb_label_table
+                [kNumUopKinds + static_cast<size_t>(group * 3 + w)];
         }
     }
     ++sb_promotions_;
@@ -626,18 +574,15 @@ Cpu::promote_superblock(uint64_t entry_rip)
 }
 
 /*
- * Dispatch strategy: with a single switch, every uop funnels through
- * one indirect branch whose target rotates with the kinds inside the
- * trace loop, so the predictor eats a mispredict per uop — which is
- * most of an interpreter's per-op cost. With the GNU labels-as-values
- * extension each op body ends in its *own* dispatch jump, and inside
- * a trace each of those sites has a stable successor, so the replayed
- * loop runs nearly branch-miss-free. Compilers without the extension
- * fall back to the plain while/switch shape; both expansions share
- * the same op bodies below.
+ * Dispatch strategy: with a single switch, every uop would funnel
+ * through one indirect branch whose target rotates with the kinds
+ * inside the trace loop, so the predictor would eat a mispredict per
+ * uop — which is most of an interpreter's per-op cost. With the GNU
+ * labels-as-values extension (GCC and Clang, which the build requires)
+ * each op body ends in its *own* dispatch jump, and inside a trace
+ * each of those sites has a stable successor, so the replayed loop
+ * runs nearly branch-miss-free.
  */
-#if defined(__GNUC__) || defined(__clang__)
-#define OCC_SB_CGOTO 1
 #define SB_OP(name) lbl_##name
 #define SB_DISPATCH()                                                   \
     do {                                                                \
@@ -647,14 +592,7 @@ Cpu::promote_superblock(uint64_t entry_rip)
         }                                                               \
         goto *op->handler;                                              \
     } while (0)
-#define SB_NEXT() SB_DISPATCH()
-#else
-#define OCC_SB_CGOTO 0
-#define SB_OP(name) case UopKind::k##name
-#define SB_NEXT() break
-#endif
 
-#if OCC_SB_CGOTO
 /*
  * kAluPack inner dispatch. Each pack slot goes through its own label
  * table so each slot's indirect branch has a stable per-trace target;
@@ -708,7 +646,6 @@ Cpu::promote_superblock(uint64_t entry_rip)
     alu##S##_Neg: regs[RD] = 0 - regs[RD]; NEXT;                        \
     alu##S##_Not: regs[RD] = ~regs[RD]; NEXT;                           \
     alu##S##_Bad: OCC_PANIC("non-packable code in kAluPack")
-#endif
 
 Cpu::SbResult
 Cpu::exec_superblock(const Superblock &sb, uint64_t max_instructions,
@@ -722,7 +659,6 @@ Cpu::exec_superblock(const Superblock &sb, uint64_t max_instructions,
     // Not const: trace linking (link_or_leave below) swaps in the
     // uop buffer of a successor trace without leaving this frame.
     const Uop *__restrict uops = sb.uops.data();
-    int32_t n = static_cast<int32_t>(sb.uops.size());
     uint64_t *__restrict const regs = state_.regs.data();
     AddressSpace &mem = *mem_;
 
@@ -768,7 +704,6 @@ Cpu::exec_superblock(const Superblock &sb, uint64_t max_instructions,
     };
     const Uop *__restrict op;
     int32_t i = 0;
-#if OCC_SB_CGOTO
     // One label per UopKind, in enum order (count asserted below;
     // every op body is reached by the full test battery, so an
     // ordering slip cannot survive a test run).
@@ -784,7 +719,8 @@ Cpu::exec_superblock(const Superblock &sb, uint64_t max_instructions,
         &&lbl_Neg, &&lbl_Not,
         &&lbl_CmpRI, &&lbl_CmpRR, &&lbl_TestRR,
         &&lbl_Lea, &&lbl_Rdcycle,
-        &&lbl_Load, &&lbl_Store, &&lbl_Push, &&lbl_PushImm, &&lbl_Pop,
+        &&lbl_Unbound, &&lbl_Unbound, // kLoad, kStore
+        &&lbl_Push, &&lbl_PushImm, &&lbl_Pop,
         &&lbl_BndChkMem, &&lbl_BndChkReg,
         &&lbl_Goto, &&lbl_JccGoto, &&lbl_JccExit,
         &&lbl_CmpRIJccGoto, &&lbl_CmpRRJccGoto,
@@ -794,13 +730,14 @@ Cpu::exec_superblock(const Superblock &sb, uint64_t max_instructions,
         &&lbl_JmpRegExit, &&lbl_JmpMemExit, &&lbl_ExitTo,
         &&lbl_Ltrap, &&lbl_Priv,
         &&lbl_AluPack, &&lbl_AluPackBr,
-        &&lbl_LoadChk, &&lbl_StoreChk, &&lbl_LoadAlu,
+        &&lbl_Unbound, &&lbl_Unbound, // kLoadChk, kStoreChk
+        &&lbl_Unbound,                // kLoadAlu
         // Width-constant memory bodies, past the UopKind-indexed
-        // range. promote_superblock rebinds a memory uop's handler to
-        // the variant matching its install-time width; the shared
-        // generic bodies above stay for the switch fallback. Order:
-        // group-major (Load, Store, LoadChk, StoreChk, LoadAlu),
-        // width 8/4/1.
+        // range. promote_superblock binds every memory uop (kLoad,
+        // kStore, kLoadChk, kStoreChk, kLoadAlu) to the variant
+        // matching its install-time width, so those kinds' own slots
+        // are never dispatched. Order: group-major (Load, Store,
+        // LoadChk, StoreChk, LoadAlu), width 8/4/1.
         &&lbl_Load8, &&lbl_Load4, &&lbl_Load1,
         &&lbl_Store8, &&lbl_Store4, &&lbl_Store1,
         &&lbl_LoadChk8, &&lbl_LoadChk4, &&lbl_LoadChk1,
@@ -818,80 +755,67 @@ Cpu::exec_superblock(const Superblock &sb, uint64_t max_instructions,
     SB_ALU_TABLE(4);
     SB_ALU_TABLE(5);
     SB_ALU_TABLE(6); // kLoadAlu's appended mini-op
-    (void)n;
     if (exit == nullptr) {
         g_sb_label_table = kLabels; // probe from promote_superblock
         return SbResult::kLeft;
     }
     SB_DISPATCH();
-#else
-    if (exit == nullptr) {
-        return SbResult::kLeft; // probe: the switch dispatches on kind
-    }
-  resume_loop:
-    while (i < n) {
-        op = uops + i;
-        if (budget - done < op->n_instrs) {
-            goto budget_stop;
-        }
-        switch (op->kind) {
-#endif
 
     SB_OP(Charge):
         cycles += op->cost;
         done += op->n_instrs;
         ++i;
-        SB_NEXT();
+        SB_DISPATCH();
 
     SB_OP(MovRI):
         cycles += op->cost;
         ++done;
         regs[op->reg1] = static_cast<uint64_t>(op->imm);
         ++i;
-        SB_NEXT();
+        SB_DISPATCH();
     SB_OP(MovRR):
         cycles += op->cost;
         ++done;
         regs[op->reg1] = regs[op->reg2];
         ++i;
-        SB_NEXT();
+        SB_DISPATCH();
 
     SB_OP(AddRI):
         cycles += op->cost;
         ++done;
         regs[op->reg1] += static_cast<uint64_t>(op->imm);
         ++i;
-        SB_NEXT();
+        SB_DISPATCH();
     SB_OP(AddRR):
         cycles += op->cost;
         ++done;
         regs[op->reg1] += regs[op->reg2];
         ++i;
-        SB_NEXT();
+        SB_DISPATCH();
     SB_OP(SubRI):
         cycles += op->cost;
         ++done;
         regs[op->reg1] -= static_cast<uint64_t>(op->imm);
         ++i;
-        SB_NEXT();
+        SB_DISPATCH();
     SB_OP(SubRR):
         cycles += op->cost;
         ++done;
         regs[op->reg1] -= regs[op->reg2];
         ++i;
-        SB_NEXT();
+        SB_DISPATCH();
     SB_OP(MulRI):
         cycles += op->cost;
         ++done;
         regs[op->reg1] *= static_cast<uint64_t>(op->imm);
         ++i;
-        SB_NEXT();
+        SB_DISPATCH();
     SB_OP(MulRR):
         cycles += op->cost;
         ++done;
         regs[op->reg1] *= regs[op->reg2];
         ++i;
-        SB_NEXT();
+        SB_DISPATCH();
     SB_OP(DivRR):
     SB_OP(ModRR): {
         cycles += op->cost;
@@ -912,75 +836,75 @@ Cpu::exec_superblock(const Superblock &sb, uint64_t max_instructions,
             regs[op->reg1] = static_cast<uint64_t>(dividend % divisor);
         }
         ++i;
-        SB_NEXT();
+        SB_DISPATCH();
     }
     SB_OP(AndRI):
         cycles += op->cost;
         ++done;
         regs[op->reg1] &= static_cast<uint64_t>(op->imm);
         ++i;
-        SB_NEXT();
+        SB_DISPATCH();
     SB_OP(AndRR):
         cycles += op->cost;
         ++done;
         regs[op->reg1] &= regs[op->reg2];
         ++i;
-        SB_NEXT();
+        SB_DISPATCH();
     SB_OP(OrRI):
         cycles += op->cost;
         ++done;
         regs[op->reg1] |= static_cast<uint64_t>(op->imm);
         ++i;
-        SB_NEXT();
+        SB_DISPATCH();
     SB_OP(OrRR):
         cycles += op->cost;
         ++done;
         regs[op->reg1] |= regs[op->reg2];
         ++i;
-        SB_NEXT();
+        SB_DISPATCH();
     SB_OP(XorRI):
         cycles += op->cost;
         ++done;
         regs[op->reg1] ^= static_cast<uint64_t>(op->imm);
         ++i;
-        SB_NEXT();
+        SB_DISPATCH();
     SB_OP(XorRR):
         cycles += op->cost;
         ++done;
         regs[op->reg1] ^= regs[op->reg2];
         ++i;
-        SB_NEXT();
+        SB_DISPATCH();
     SB_OP(ShlRI):
         cycles += op->cost;
         ++done;
         regs[op->reg1] <<= (op->imm & 63);
         ++i;
-        SB_NEXT();
+        SB_DISPATCH();
     SB_OP(ShrRI):
         cycles += op->cost;
         ++done;
         regs[op->reg1] >>= (op->imm & 63);
         ++i;
-        SB_NEXT();
+        SB_DISPATCH();
     SB_OP(SarRI):
         cycles += op->cost;
         ++done;
         regs[op->reg1] = static_cast<uint64_t>(
             static_cast<int64_t>(regs[op->reg1]) >> (op->imm & 63));
         ++i;
-        SB_NEXT();
+        SB_DISPATCH();
     SB_OP(ShlRR):
         cycles += op->cost;
         ++done;
         regs[op->reg1] <<= (regs[op->reg2] & 63);
         ++i;
-        SB_NEXT();
+        SB_DISPATCH();
     SB_OP(ShrRR):
         cycles += op->cost;
         ++done;
         regs[op->reg1] >>= (regs[op->reg2] & 63);
         ++i;
-        SB_NEXT();
+        SB_DISPATCH();
     SB_OP(SarRR):
         cycles += op->cost;
         ++done;
@@ -988,19 +912,19 @@ Cpu::exec_superblock(const Superblock &sb, uint64_t max_instructions,
             static_cast<int64_t>(regs[op->reg1]) >>
             (regs[op->reg2] & 63));
         ++i;
-        SB_NEXT();
+        SB_DISPATCH();
     SB_OP(Neg):
         cycles += op->cost;
         ++done;
         regs[op->reg1] = 0 - regs[op->reg1];
         ++i;
-        SB_NEXT();
+        SB_DISPATCH();
     SB_OP(Not):
         cycles += op->cost;
         ++done;
         regs[op->reg1] = ~regs[op->reg1];
         ++i;
-        SB_NEXT();
+        SB_DISPATCH();
 
     SB_OP(CmpRI):
         cycles += op->cost;
@@ -1008,14 +932,14 @@ Cpu::exec_superblock(const Superblock &sb, uint64_t max_instructions,
         set_cmp_flags(regs[op->reg1], static_cast<uint64_t>(op->imm));
         flags_deferred = false;
         ++i;
-        SB_NEXT();
+        SB_DISPATCH();
     SB_OP(CmpRR):
         cycles += op->cost;
         ++done;
         set_cmp_flags(regs[op->reg1], regs[op->reg2]);
         flags_deferred = false;
         ++i;
-        SB_NEXT();
+        SB_DISPATCH();
     SB_OP(TestRR): {
         cycles += op->cost;
         ++done;
@@ -1026,7 +950,7 @@ Cpu::exec_superblock(const Superblock &sb, uint64_t max_instructions,
         state_.flags.cf = false;
         state_.flags.of = false;
         ++i;
-        SB_NEXT();
+        SB_DISPATCH();
     }
 
     SB_OP(Lea):
@@ -1034,144 +958,21 @@ Cpu::exec_superblock(const Superblock &sb, uint64_t max_instructions,
         ++done;
         regs[op->reg1] = ea(*op);
         ++i;
-        SB_NEXT();
+        SB_DISPATCH();
     SB_OP(Rdcycle):
         cycles += op->cost;
         ++done;
         regs[op->reg1] = cycles; // after charging, like execute()
         ++i;
-        SB_NEXT();
+        SB_DISPATCH();
 
-    SB_OP(Load): {
-        cycles += op->cost;
-        ++done;
-        uint64_t addr = ea(*op);
-        uint64_t value = 0;
-        AccessFault f =
-            op->size == 8 ? mem.read_fast<8>(addr, &value)
-          : op->size == 4 ? mem.read_fast<4>(addr, &value)
-                          : mem.read_fast<1>(addr, &value);
-        if (f != AccessFault::kNone) {
-            do_fault(sb_fault_kind(f), addr, op->address);
-            flush();
-            return SbResult::kExit;
-        }
-        regs[op->reg1] = value;
-        ++i;
-        SB_NEXT();
-    }
-    SB_OP(Store): {
-        cycles += op->cost;
-        ++done;
-        uint64_t addr = ea(*op);
-        uint64_t value = regs[op->reg1];
-        AccessFault f =
-            op->size == 8 ? mem.write_fast<8>(addr, &value)
-          : op->size == 4 ? mem.write_fast<4>(addr, &value)
-                          : mem.write_fast<1>(addr, &value);
-        if (f != AccessFault::kNone) {
-            do_fault(sb_fault_kind(f), addr, op->address);
-            flush();
-            return SbResult::kExit;
-        }
-        // Self-modifying code: a store into a page fetched under
-        // this generation advanced it — the rest of this trace may
-        // be stale. Demote to tier 1 at the next instruction.
-        if (mem.code_generation() != sb.generation) {
-            state_.rip = op->next_rip;
-            flush();
-            return SbResult::kLeft;
-        }
-        ++i;
-        SB_NEXT();
-    }
-
-    // Bound check(s) folded into the access: one EA, one dispatch.
-    // Charge tiers mirror the unfused sequence exactly — a lo fail
-    // charges only the head check, a hi fail the whole check portion,
-    // an access fault the full group (the access itself charged, as
-    // in the plain kLoad/kStore bodies).
-    SB_OP(LoadChk): {
-        uint64_t addr = ea(*op);
-        const BoundReg &bc = state_.bnds[op->bnd];
-        if ((op->mask & 1) && addr < bc.lo) {
-            cycles += op->cost_head;
-            ++done;
-            do_fault(FaultKind::kBoundRange, addr, op->address);
-            flush();
-            return SbResult::kExit;
-        }
-        if ((op->mask & 2) && addr > bc.hi) {
-            cycles += static_cast<uint32_t>(op->target);
-            done += static_cast<uint8_t>(op->n_instrs - 1);
-            do_fault(FaultKind::kBoundRange, addr, op->address2);
-            flush();
-            return SbResult::kExit;
-        }
-        cycles += op->cost;
-        done += op->n_instrs;
-        uint64_t value = 0;
-        AccessFault f =
-            op->size == 8 ? mem.read_fast<8>(addr, &value)
-          : op->size == 4 ? mem.read_fast<4>(addr, &value)
-                          : mem.read_fast<1>(addr, &value);
-        if (f != AccessFault::kNone) {
-            do_fault(sb_fault_kind(f), addr, op->exit_rip);
-            flush();
-            return SbResult::kExit;
-        }
-        regs[op->reg1] = value;
-        ++i;
-        SB_NEXT();
-    }
-    SB_OP(StoreChk): {
-        uint64_t addr = ea(*op);
-        const BoundReg &bc = state_.bnds[op->bnd];
-        if ((op->mask & 1) && addr < bc.lo) {
-            cycles += op->cost_head;
-            ++done;
-            do_fault(FaultKind::kBoundRange, addr, op->address);
-            flush();
-            return SbResult::kExit;
-        }
-        if ((op->mask & 2) && addr > bc.hi) {
-            cycles += static_cast<uint32_t>(op->target);
-            done += static_cast<uint8_t>(op->n_instrs - 1);
-            do_fault(FaultKind::kBoundRange, addr, op->address2);
-            flush();
-            return SbResult::kExit;
-        }
-        cycles += op->cost;
-        done += op->n_instrs;
-        uint64_t value = regs[op->reg1];
-        AccessFault f =
-            op->size == 8 ? mem.write_fast<8>(addr, &value)
-          : op->size == 4 ? mem.write_fast<4>(addr, &value)
-                          : mem.write_fast<1>(addr, &value);
-        if (f != AccessFault::kNone) {
-            do_fault(sb_fault_kind(f), addr, op->exit_rip);
-            flush();
-            return SbResult::kExit;
-        }
-        if (mem.code_generation() != sb.generation) {
-            state_.rip = op->next_rip;
-            flush();
-            return SbResult::kLeft;
-        }
-        ++i;
-        SB_NEXT();
-    }
-
-#if OCC_SB_CGOTO
     /*
-     * Width-constant clones of the four memory bodies above (reached
-     * only through the extension slots of kLabels — the kind-indexed
-     * dispatch never lands here). The generic bodies pick the access
-     * width with data-dependent branches; since one shared body serves
-     * every trace, those branches mispredict whenever the workload
-     * mixes widths, and memory uops are the bulk of hot-loop
-     * dispatches. Everything except the width is identical, including
-     * fault points and the tiered cycle charges.
+     * Memory bodies, one width-constant clone per access width
+     * (reached only through the extension slots of kLabels). A shared
+     * body would pick the width with data-dependent branches, and since
+     * one body serves every trace, those branches would mispredict
+     * whenever the workload mixes widths — memory uops are the bulk of
+     * hot-loop dispatches.
      */
 #define SB_LOAD_W(SZ)                                                   \
     lbl_Load##SZ: {                                                     \
@@ -1187,12 +988,18 @@ Cpu::exec_superblock(const Superblock &sb, uint64_t max_instructions,
         }                                                               \
         regs[op->reg1] = value;                                         \
         ++i;                                                            \
-        SB_NEXT();                                                      \
+        SB_DISPATCH();                                                  \
     }
     SB_LOAD_W(8)
     SB_LOAD_W(4)
     SB_LOAD_W(1)
 #undef SB_LOAD_W
+
+    // Bound check(s) folded into the access: one EA, one dispatch.
+    // Charge tiers mirror the unfused sequence exactly — a lo fail
+    // charges only the head check, a hi fail the whole check portion,
+    // an access fault the full group (the access itself charged, as
+    // in the plain load/store bodies).
 
 #define SB_STORE_W(SZ)                                                  \
     lbl_Store##SZ: {                                                    \
@@ -1212,7 +1019,7 @@ Cpu::exec_superblock(const Superblock &sb, uint64_t max_instructions,
             return SbResult::kLeft;                                     \
         }                                                               \
         ++i;                                                            \
-        SB_NEXT();                                                      \
+        SB_DISPATCH();                                                  \
     }
     SB_STORE_W(8)
     SB_STORE_W(4)
@@ -1248,7 +1055,7 @@ Cpu::exec_superblock(const Superblock &sb, uint64_t max_instructions,
         }                                                               \
         regs[op->reg1] = value;                                         \
         ++i;                                                            \
-        SB_NEXT();                                                      \
+        SB_DISPATCH();                                                  \
     }
     SB_LOADCHK_W(8)
     SB_LOADCHK_W(4)
@@ -1288,49 +1095,16 @@ Cpu::exec_superblock(const Superblock &sb, uint64_t max_instructions,
             return SbResult::kLeft;                                     \
         }                                                               \
         ++i;                                                            \
-        SB_NEXT();                                                      \
+        SB_DISPATCH();                                                  \
     }
     SB_STORECHK_W(8)
     SB_STORECHK_W(4)
     SB_STORECHK_W(1)
 #undef SB_STORECHK_W
-#endif // OCC_SB_CGOTO
 
     // A load with one ALU mini-op appended (see the Uop doc). Only
     // the load can fault, and it is the first component, so a fault
     // charges the load alone (cost_head) at the load's rip.
-    SB_OP(LoadAlu): {
-        uint64_t addr = ea(*op);
-        uint64_t value = 0;
-        AccessFault f =
-            op->size == 8 ? mem.read_fast<8>(addr, &value)
-          : op->size == 4 ? mem.read_fast<4>(addr, &value)
-                          : mem.read_fast<1>(addr, &value);
-        if (f != AccessFault::kNone) {
-            cycles += op->cost_head;
-            ++done;
-            do_fault(sb_fault_kind(f), addr, op->address);
-            flush();
-            return SbResult::kExit;
-        }
-        regs[op->reg1] = value;
-        cycles += op->cost;
-        done += op->n_instrs;
-#if OCC_SB_CGOTO
-        goto *kAlu6[op->bnd];
-        SB_ALU_BODIES(6, op->mask, op->reg2, op->imm,
-                      do {
-                          ++i;
-                          SB_DISPATCH();
-                      } while (0));
-#else
-        exec_alu(regs, op->bnd, op->mask, op->reg2, op->imm);
-        ++i;
-        SB_NEXT();
-#endif
-    }
-
-#if OCC_SB_CGOTO
 #define SB_LOADALU_W(SZ)                                                \
     lbl_LoadAlu##SZ: {                                                  \
         uint64_t addr = ea(*op);                                        \
@@ -1352,7 +1126,15 @@ Cpu::exec_superblock(const Superblock &sb, uint64_t max_instructions,
     SB_LOADALU_W(4)
     SB_LOADALU_W(1)
 #undef SB_LOADALU_W
-#endif // OCC_SB_CGOTO
+    SB_ALU_BODIES(6, op->mask, op->reg2, op->imm,
+                  do {
+                      ++i;
+                      SB_DISPATCH();
+                  } while (0));
+
+    // Memory kinds' own table slots (see kLabels).
+  lbl_Unbound:
+    OCC_PANIC("memory uop without a width-bound handler");
 
     SB_OP(Push):
     SB_OP(PushImm): {
@@ -1375,7 +1157,7 @@ Cpu::exec_superblock(const Superblock &sb, uint64_t max_instructions,
             return SbResult::kLeft;
         }
         ++i;
-        SB_NEXT();
+        SB_DISPATCH();
     }
     SB_OP(Pop): {
         cycles += op->cost;
@@ -1390,7 +1172,7 @@ Cpu::exec_superblock(const Superblock &sb, uint64_t max_instructions,
         regs[isa::kSp] += 8;
         regs[op->reg1] = value;
         ++i;
-        SB_NEXT();
+        SB_DISPATCH();
     }
 
     SB_OP(BndChkMem):
@@ -1417,14 +1199,14 @@ Cpu::exec_superblock(const Superblock &sb, uint64_t max_instructions,
         cycles += op->cost;
         done += op->n_instrs;
         ++i;
-        SB_NEXT();
+        SB_DISPATCH();
     }
 
     SB_OP(Goto):
         cycles += op->cost;
         done += op->n_instrs;
         i = op->target;
-        SB_NEXT();
+        SB_DISPATCH();
     SB_OP(JccGoto):
         cycles += op->cost;
         ++done;
@@ -1434,10 +1216,10 @@ Cpu::exec_superblock(const Superblock &sb, uint64_t max_instructions,
         }
         if (eval_cond(op->cond)) {
             i = op->target;
-            SB_NEXT();
+            SB_DISPATCH();
         }
         ++i;
-        SB_NEXT();
+        SB_DISPATCH();
     SB_OP(JccExit):
         cycles += op->cost;
         ++done;
@@ -1450,7 +1232,7 @@ Cpu::exec_superblock(const Superblock &sb, uint64_t max_instructions,
             goto link_or_leave;
         }
         ++i;
-        SB_NEXT();
+        SB_DISPATCH();
     // Fused compare-branches decide the branch with cond_holds() on
     // the operands and only park the compared pair; the architectural
     // flags materialize lazily at the next unfused reader or at any
@@ -1469,10 +1251,10 @@ Cpu::exec_superblock(const Superblock &sb, uint64_t max_instructions,
         flags_deferred = true;
         if (cond_holds(op->cond, a, b)) {
             i = op->target;
-            SB_NEXT();
+            SB_DISPATCH();
         }
         ++i;
-        SB_NEXT();
+        SB_DISPATCH();
     }
     SB_OP(CmpRRJccGoto): {
         cycles += op->cost;
@@ -1483,10 +1265,10 @@ Cpu::exec_superblock(const Superblock &sb, uint64_t max_instructions,
         flags_deferred = true;
         if (cond_holds(op->cond, a, b)) {
             i = op->target;
-            SB_NEXT();
+            SB_DISPATCH();
         }
         ++i;
-        SB_NEXT();
+        SB_DISPATCH();
     }
     SB_OP(CmpRIJccExit): {
         cycles += op->cost;
@@ -1499,7 +1281,7 @@ Cpu::exec_superblock(const Superblock &sb, uint64_t max_instructions,
             goto fused_exit;
         }
         ++i;
-        SB_NEXT();
+        SB_DISPATCH();
     }
     SB_OP(CmpRRJccExit): {
         cycles += op->cost;
@@ -1512,7 +1294,7 @@ Cpu::exec_superblock(const Superblock &sb, uint64_t max_instructions,
             goto fused_exit;
         }
         ++i;
-        SB_NEXT();
+        SB_DISPATCH();
     }
     fused_exit:
         state_.rip = op->exit_rip;
@@ -1544,7 +1326,7 @@ Cpu::exec_superblock(const Superblock &sb, uint64_t max_instructions,
             return SbResult::kLeft;
         }
         ++i;
-        SB_NEXT();
+        SB_DISPATCH();
     }
     SB_OP(CallRegExit):
     SB_OP(CallMemExit): {
@@ -1588,7 +1370,7 @@ Cpu::exec_superblock(const Superblock &sb, uint64_t max_instructions,
         regs[isa::kSp] += 8 + static_cast<uint64_t>(op->imm);
         if (op->kind == UopKind::kRetGuard && target == op->exit_rip) {
             ++i; // predicted return: keep running the trace
-            SB_NEXT();
+            SB_DISPATCH();
         }
         state_.rip = target;
         goto link_or_leave;
@@ -1598,7 +1380,7 @@ Cpu::exec_superblock(const Superblock &sb, uint64_t max_instructions,
         ++done;
         if (regs[op->reg1] == op->exit_rip) {
             ++i; // predicted (MMDSFI return rewrite)
-            SB_NEXT();
+            SB_DISPATCH();
         }
         state_.rip = regs[op->reg1];
         goto link_or_leave;
@@ -1648,7 +1430,6 @@ Cpu::exec_superblock(const Superblock &sb, uint64_t max_instructions,
     SB_OP(AluPack):
         cycles += op->cost;
         done += op->n_instrs;
-#if OCC_SB_CGOTO
         goto *kAlu0[op->bnd];
         SB_ALU_BODIES(0, op->reg1, op->reg2, op->imm,
                       goto *kAlu1[op->mask]);
@@ -1666,16 +1447,6 @@ Cpu::exec_superblock(const Superblock &sb, uint64_t max_instructions,
                           ++i;
                           SB_DISPATCH();
                       } while (0));
-#else
-        exec_alu(regs, op->bnd, op->reg1, op->reg2, op->imm);
-        exec_alu(regs, op->mask, op->base, op->index, op->disp);
-        if (op->n_instrs == 3) {
-            exec_alu(regs, op->scale, op->ea, op->size,
-                     static_cast<int64_t>(op->exit_rip));
-        }
-        ++i;
-        SB_NEXT();
-#endif
 
     // A pack with a merged compare + intra-trace branch: a tight loop
     // body in one uop, one dispatch per iteration. n_instrs counts the
@@ -1683,7 +1454,6 @@ Cpu::exec_superblock(const Superblock &sb, uint64_t max_instructions,
     SB_OP(AluPackBr):
         cycles += op->cost;
         done += op->n_instrs;
-#if OCC_SB_CGOTO
         goto *kAlu3[op->bnd];
         SB_ALU_BODIES(3, op->reg1, op->reg2, op->imm,
                       goto *kAlu4[op->mask]);
@@ -1707,42 +1477,14 @@ Cpu::exec_superblock(const Superblock &sb, uint64_t max_instructions,
         flags_deferred = true;
         if (cond_holds(op->cond, a, b)) {
             i = op->target; // real branch: see the JccGoto comment
-            SB_NEXT();
+            SB_DISPATCH();
         }
         ++i;
-        SB_NEXT();
+        SB_DISPATCH();
     }
-#else
-        exec_alu(regs, op->bnd, op->reg1, op->reg2, op->imm);
-        exec_alu(regs, op->mask, op->base, op->index, op->disp);
-        if (op->n_instrs == 5) {
-            exec_alu(regs, op->scale, op->ea, op->size,
-                     static_cast<int64_t>(op->exit_rip));
-        }
-        {
-            uint64_t a = regs[op->cost_head & 0xff];
-            uint64_t b = (op->cost_head & 0x10000u)
-                             ? regs[(op->cost_head >> 8) & 0xff]
-                             : op->address2;
-            flag_a = a;
-            flag_b = b;
-            flags_deferred = true;
-            i = cond_holds(op->cond, a, b) ? op->target : i + 1;
-        }
-        SB_NEXT();
-#endif
 
     SB_OP(Dead):
         OCC_PANIC("dead uop reached execution");
-
-#if !OCC_SB_CGOTO
-        }
-    }
-    // Fell off the stitched end (defensive - traces end in terminals).
-    state_.rip = uops[n - 1].next_rip;
-    flush();
-    return SbResult::kLeft;
-#endif
 
   link_or_leave:
     // Trace linking: a guard or branch exit whose continuation rip is
@@ -1761,14 +1503,9 @@ Cpu::exec_superblock(const Superblock &sb, uint64_t max_instructions,
         if (linked != superblocks_.end() &&
             linked->second.generation == mem.code_generation()) {
             uops = linked->second.uops.data();
-            n = static_cast<int32_t>(linked->second.uops.size());
             ++sb_exec_hits_;
             i = 0;
-#if OCC_SB_CGOTO
             SB_DISPATCH();
-#else
-            goto resume_loop;
-#endif
         }
     }
     flush();

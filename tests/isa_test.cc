@@ -61,6 +61,15 @@ TEST(Encoding, DecodeRejectsUnknownOpcode)
     EXPECT_FALSE(decode(bad.data(), bad.size(), 0, 0).ok());
 }
 
+TEST(Encoding, DecodeErrorNamesTheFailingAddress)
+{
+    // The address is printed as a number, not as its in-memory bytes.
+    Bytes bad = {0xee, 0, 0, 0};
+    auto r = decode(bad.data(), bad.size(), 0, 0x112a);
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.error().message, "decode @0x112a: invalid opcode");
+}
+
 TEST(Encoding, DecodeRejectsBadRegister)
 {
     Bytes bad = {static_cast<uint8_t>(Opcode::kPush), 16};

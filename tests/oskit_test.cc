@@ -16,6 +16,7 @@
 #include "oskit/loader.h"
 #include "toolchain/minic.h"
 #include "trace/metrics.h"
+#include "trace/trace.h"
 
 namespace occlum::oskit {
 namespace {
@@ -1600,16 +1601,27 @@ func main() {
 }
 )";
 
+/** Spawn the storm parent (pid 1) and its 24 children. */
+void
+spawn_storm(KernelHarness &h)
+{
+    auto kid = toolchain::compile(kStormChild);
+    auto parent = toolchain::compile(kStormParent);
+    ASSERT_TRUE(kid.ok() && parent.ok());
+    h.files.put("kid", kid.value().image.serialize());
+    h.files.put("prog", parent.value().image.serialize());
+    ASSERT_TRUE(h.sys.spawn("prog", {"prog"}).ok());
+}
+
 /** Run the spawn storm at `cores`; returns (death order, cycles). */
 std::pair<std::vector<int>, uint64_t>
 run_storm(int cores)
 {
     KernelHarness h;
     h.sys.set_cores(cores);
-    auto kid = toolchain::compile(kStormChild);
-    EXPECT_TRUE(kid.ok());
-    h.files.put("kid", kid.value().image.serialize());
-    EXPECT_EQ(h.run(kStormParent), 0);
+    spawn_storm(h);
+    h.sys.run();
+    EXPECT_EQ(h.sys.exit_code(1).value(), 0);
     EXPECT_TRUE(h.sys.all_exited());
     return {h.sys.death_order(), h.clock.cycles()};
 }
@@ -1745,17 +1757,17 @@ namespace smp {
  * (death order, cycles); the caller diffs kernel.deferred_retries.
  *
  * The choreography (4 cores): pid 3 ("rdr", home core 3) spins long
- * enough for the spacer pids 2/4/5/6 to die, leaving core 0 idle
- * while queue 3 stays two-deep (pid 7 keeps spinning) — so core 0
- * steals pid 3 every round. When its spin drains, pid 3 writes one
- * byte to the signal pipe (stdout) and next round blocks reading the
- * empty data pipe (stdin) — during its *stolen* quantum on core 0,
- * stamping ran_round. The orchestrator pid 1 (home core 1) parked on
- * the signal pipe wakes, spins just past one quantum, and writes the
- * data pipe — landing in exactly the round where pid 3 both ran
- * (stolen) and blocked. Core 3's wake-pending drain then sees a SIP
- * whose ran_round equals the current round: retrying would make it
- * run twice in one round, so the retry must be deferred.
+ * enough for the spacer pids 2/4/5/6 to die, leaving core 0's walk
+ * empty while queue 3 stays two-deep (pid 7 keeps spinning) — so core
+ * 0 steals pid 3 every round. When its spin drains, pid 3 writes one
+ * byte to the signal pipe (stdout); the orchestrator pid 1 (home core
+ * 1) parked on that pipe is retried by core 1's walk in the same
+ * round. Next round pid 3, stolen again, blocks reading the empty data
+ * pipe (stdin), stamping ran_round; core 1's walk then runs pid 1's
+ * quantum, which writes the data pipe and wakes pid 3. Core 3's walk
+ * then sees a wake-pending SIP whose ran_round equals the current
+ * round: retrying would make it run twice in one round, so the retry
+ * must be deferred.
  */
 std::pair<std::vector<int>, uint64_t>
 run_stolen_then_woken(int cores)
@@ -1818,8 +1830,6 @@ func main() {
     close(dat[0]);
     close(sig[1]);
     if (read(sig[0], b, 1) != 1) { return 3; }
-    var i = 0;
-    while (i < 4500) { i = i + 1; }
     if (write(dat[1], b, 1) != 1) { return 4; }
     if (waitpid(p3) != 9) { return 5; }
     if (waitpid(p2) != 5) { return 6; }
@@ -1839,15 +1849,15 @@ func main() {
 
 TEST(Smp, StolenThenWokenSipRunsOnceAndRetryIsDeferred)
 {
-    // Regression for the stolen-then-woken double-run hazard: the
-    // wake-pending drain used to retry a SIP's blocked syscall on its
-    // home core even when the SIP had already run a stolen quantum
-    // this round — completing the syscall on a timeline that rewound
-    // to the round start, i.e. overlapping the SIP's own quantum in
-    // simulated time. The drain must defer such retries to the next
-    // round (counted by kernel.deferred_retries, which this scenario
-    // is engineered to hit), and the schedule must stay deterministic
-    // run to run at every swept core count.
+    // Regression for the stolen-then-woken double-run hazard: a home
+    // core's walk must not retry a SIP's blocked syscall when the SIP
+    // already ran a stolen quantum this round — that would complete
+    // the syscall on a timeline that rewound to the round start, i.e.
+    // overlapping the SIP's own quantum in simulated time. The walk
+    // must defer such retries to the next round (counted by
+    // kernel.deferred_retries, which this scenario is engineered to
+    // hit), and the schedule must stay deterministic run to run at
+    // every swept core count.
     uint64_t deferred0 = smp::ctr("kernel.deferred_retries");
     for (int cores : {2, 4}) {
         auto first = smp::run_stolen_then_woken(cores);
@@ -1860,6 +1870,285 @@ TEST(Smp, StolenThenWokenSipRunsOnceAndRetryIsDeferred)
     // The 4-core choreography reaches the hazard (steal core 0 <
     // waker core 1 < home core 3); the deferral path must have fired.
     EXPECT_GT(smp::ctr("kernel.deferred_retries"), deferred0);
+}
+
+
+namespace smp {
+
+constexpr const char *kGoldenReader = R"(
+global byte b[4];
+func main() {
+    if (read(0, b, 1) != 1) { return 1; }
+    if (write(1, b, 1) != 1) { return 2; }
+    return 11;
+}
+)";
+
+constexpr const char *kGoldenEpoller = R"(
+global byte b[4];
+func main() {
+    var evs[4];
+    var ep = epoll_create();
+    if (epoll_ctl(ep, 1, 0, 1) != 0) { return 1; }
+    if (epoll_wait(ep, evs, 2, -1) != 1) { return 2; }
+    if (read(0, b, 1) != 1) { return 3; }
+    return 12;
+}
+)";
+
+// Sleeps 48 us (a poll with no fds is a pure timer), then spins.
+constexpr const char *kGoldenSleeper = R"(
+func main() {
+    var fds[3];
+    if (poll(fds, 0, 48000) != 0) { return 1; }
+    var i = 0;
+    while (i < 20000) { i = i + 1; }
+    return 13;
+}
+)";
+
+// Spins into a later quantum, then spawns mid-round.
+constexpr const char *kGoldenSpawner = R"(
+global byte kid[8] = "kid";
+func main() {
+    var i = 0;
+    while (i < 30000) { i = i + 1; }
+    var argvv[1];
+    argvv[0] = kid;
+    var c = spawn(kid, argvv, 1);
+    if (c < 0) { return 1; }
+    if (waitpid(c) != 7) { return 2; }
+    return 14;
+}
+)";
+
+constexpr const char *kGoldenMain = R"(
+global byte rd[8] = "rd";
+global byte ep[8] = "ep";
+global byte sl[8] = "sl";
+global byte sp[8] = "sp";
+global byte b[4];
+func main() {
+    var a[2];
+    var back[2];
+    var c[2];
+    if (pipe(a) != 0) { return 1; }
+    if (pipe(back) != 0) { return 1; }
+    if (pipe(c) != 0) { return 1; }
+    var argvv[1];
+    var io3[3];
+    io3[0] = a[0];
+    io3[1] = back[1];
+    io3[2] = 2;
+    argvv[0] = rd;
+    var p2 = spawn_io(rd, argvv, 1, io3);
+    io3[0] = c[0];
+    io3[1] = 1;
+    argvv[0] = ep;
+    var p3 = spawn_io(ep, argvv, 1, io3);
+    argvv[0] = sl;
+    var p4 = spawn(sl, argvv, 1);
+    argvv[0] = sp;
+    var p5 = spawn(sp, argvv, 1);
+    if (p5 < 0) { return 2; }
+    close(a[0]);
+    close(back[1]);
+    close(c[0]);
+    var i = 0;
+    while (i < 25000) { i = i + 1; }
+    if (write(a[1], b, 1) != 1) { return 3; }
+    i = 0;
+    while (i < 5000) { i = i + 1; }
+    if (write(c[1], b, 1) != 1) { return 4; }
+    if (read(back[0], b, 1) != 1) { return 5; }
+    if (waitpid(p2) != 11) { return 6; }
+    if (waitpid(p3) != 12) { return 7; }
+    if (waitpid(p4) != 13) { return 8; }
+    if (waitpid(p5) != 14) { return 9; }
+    return 0;
+}
+)";
+
+/** Load the golden scenario's binaries and spawn its main (pid 1). */
+void
+spawn_golden(KernelHarness &h)
+{
+    std::pair<const char *, const char *> progs[] = {
+        {"rd", kGoldenReader},  {"ep", kGoldenEpoller},
+        {"sl", kGoldenSleeper}, {"sp", kGoldenSpawner},
+        {"kid", kStormChild},   {"prog", kGoldenMain},
+    };
+    for (auto &[name, src] : progs) {
+        auto out = toolchain::compile(src);
+        EXPECT_TRUE(out.ok()) << name;
+        h.files.put(name, out.value().image.serialize());
+    }
+    ASSERT_TRUE(h.sys.spawn("prog", {"prog"}).ok());
+}
+
+} // namespace smp
+
+TEST(Scheduler, UnicoreGoldenScheduleIsPinned)
+{
+    // One core must keep the exact single-queue walk: pipe wakeups
+    // (2 reads, woken by 1), an epoll wait (3, woken by 1), a sleep
+    // timer that comes due while lower pids run (4), and a spawn in
+    // the middle of a round (5 spawns 6). Death order, final cycles
+    // and the walk's counters are pinned.
+    uint64_t visits0 = smp::ctr("kernel.sched_visits");
+    uint64_t wasted0 = smp::ctr("kernel.wasted_retries");
+    uint64_t wakeups0 = smp::ctr("kernel.wakeups");
+    KernelHarness h;
+    smp::spawn_golden(h);
+    h.sys.run();
+    auto code = h.sys.exit_code(1);
+    ASSERT_TRUE(code.ok());
+    EXPECT_EQ(code.value(), 0);
+    EXPECT_EQ(h.sys.death_order(), (std::vector<int>{4, 6, 2, 5, 3, 1}));
+    EXPECT_EQ(h.clock.cycles(), 5002408ull);
+    EXPECT_EQ(smp::ctr("kernel.sched_visits") - visits0, 63u);
+    EXPECT_EQ(smp::ctr("kernel.wasted_retries") - wasted0, 0u);
+    EXPECT_EQ(smp::ctr("kernel.wakeups") - wakeups0, 4u);
+}
+
+
+namespace smp {
+
+/**
+ * Two readers homed on one core (pids 2 and 6 at 4 cores), woken by
+ * one 2-byte write: their home core's walk retries both, and both
+ * turn runnable mid-round while cores 0 and 3 have nothing of their
+ * own to run. Neither may be stolen before the next round.
+ */
+void
+spawn_pair_wake(KernelHarness &h)
+{
+    auto rd = toolchain::compile(kGoldenReader);
+    auto spacer = toolchain::compile("func main() { return 5; }");
+    auto parent = toolchain::compile(R"(
+global byte rd[8] = "rd";
+global byte spc[8] = "spc";
+global byte b[4];
+func main() {
+    var a[2];
+    if (pipe(a) != 0) { return 1; }
+    var argvv[1];
+    var io3[3];
+    io3[0] = a[0];
+    io3[1] = 1;
+    io3[2] = 2;
+    argvv[0] = rd;
+    var p2 = spawn_io(rd, argvv, 1, io3);
+    argvv[0] = spc;
+    var p3 = spawn(spc, argvv, 1);
+    var p4 = spawn(spc, argvv, 1);
+    var p5 = spawn(spc, argvv, 1);
+    argvv[0] = rd;
+    var p6 = spawn_io(rd, argvv, 1, io3);
+    close(a[0]);
+    var i = 0;
+    while (i < 9000) { i = i + 1; }
+    if (write(a[1], b, 2) != 2) { return 2; }
+    if (waitpid(p2) != 11) { return 3; }
+    if (waitpid(p6) != 11) { return 3; }
+    if (waitpid(p3) != 5) { return 4; }
+    if (waitpid(p4) != 5) { return 4; }
+    if (waitpid(p5) != 5) { return 4; }
+    return 0;
+}
+)");
+    ASSERT_TRUE(rd.ok() && spacer.ok() && parent.ok());
+    h.files.put("rd", rd.value().image.serialize());
+    h.files.put("spc", spacer.value().image.serialize());
+    h.files.put("prog", parent.value().image.serialize());
+    ASSERT_TRUE(h.sys.spawn("prog", {"prog"}).ok());
+}
+
+/**
+ * Step `h` round by round to completion. In every round the pids that
+ * run a quantum (one cpu.quantum span each) must be exactly the pids
+ * that were runnable at round start: each once, none twice, and none
+ * spawned or woken during the round. Returns the rounds stepped.
+ */
+int
+check_rounds(KernelHarness &h)
+{
+    trace::Tracer &tracer = trace::Tracer::instance();
+    tracer.bind_clock(&h.clock);
+    tracer.enable();
+    int rounds = 0;
+    while (!h.sys.all_exited()) {
+        if (rounds == 100000) {
+            ADD_FAILURE() << "still running after " << rounds << " rounds";
+            break;
+        }
+        std::vector<int> runnable;
+        for (int pid = 1; pid < 64; ++pid) {
+            const Process *proc = h.sys.find_process(pid);
+            if (proc && proc->state == ProcState::kRunnable) {
+                runnable.push_back(pid);
+            }
+        }
+        tracer.clear();
+        if (!h.sys.step_round()) {
+            uint64_t wake = h.sys.next_wake_time();
+            if (wake == ~0ull) {
+                ADD_FAILURE() << "deadlock after " << rounds << " rounds";
+                break;
+            }
+            if (wake > h.clock.cycles()) {
+                h.clock.advance(wake - h.clock.cycles());
+            }
+        }
+        ++rounds;
+        std::vector<int> ran;
+        for (const trace::Event &e : tracer.events()) {
+            if (e.type == trace::EventType::kBegin &&
+                std::string(e.name) == "cpu.quantum") {
+                ran.push_back(static_cast<int>(e.arg));
+            }
+        }
+        std::sort(ran.begin(), ran.end());
+        EXPECT_EQ(ran, runnable)
+            << "round " << rounds << " at cores=" << h.sys.cores();
+    }
+    tracer.disable();
+    tracer.bind_clock(nullptr);
+    return rounds;
+}
+
+} // namespace smp
+
+TEST(Scheduler, EveryRoundRunsEachRunnablePidExactlyOnce)
+{
+#ifdef OCCLUM_TRACE_DISABLED
+    GTEST_SKIP() << "quanta are counted from trace spans";
+#endif
+    // One scheduling model at every core count: a round runs one
+    // quantum per pid that was runnable at its start, whichever core
+    // runs it (its home core or a thief), and nothing else.
+    auto total_steals = [](int cores) {
+        uint64_t n = 0;
+        for (int c = 0; c < cores && cores > 1; ++c) {
+            n += smp::ctr("kernel.core" + std::to_string(c) + ".steals");
+        }
+        return n;
+    };
+    for (int cores : {1, 2, 4, 8}) {
+        uint64_t steals0 = total_steals(cores);
+        for (auto spawn : {smp::spawn_golden, smp::spawn_storm,
+                           smp::spawn_pair_wake}) {
+            KernelHarness h;
+            h.sys.set_cores(cores);
+            spawn(h);
+            EXPECT_GT(smp::check_rounds(h), 0) << "cores=" << cores;
+            EXPECT_EQ(h.sys.exit_code(1).value(), 0) << "cores=" << cores;
+        }
+        if (cores > 1) {
+            // The oracle must cover the steal path too.
+            EXPECT_GT(total_steals(cores), steals0) << "cores=" << cores;
+        }
+    }
 }
 
 } // namespace

@@ -386,55 +386,55 @@ TEST_P(MutationRobustness, MutatedImagesNeverLoadOrCrash)
     static const std::map<int, std::vector<std::string>> golden = {
         {1,
          {
-             "ok=0 stage=1 reason='undecodable reachable bytes: decode @0x2a11000000000000: bad mem operand' at=298 reach=0 labels=0",
+             "ok=0 stage=1 reason='undecodable reachable bytes: decode @0x112a: bad mem operand' at=298 reach=0 labels=0",
              "ok=0 stage=4 reason='unprovable memory access: load r10, [r15+43336] [ea kind=2 lo=1100104 hi=2218247 base r15 kind=2 lo=1056768 hi=2174911]' at=1146 reach=1599 labels=93",
-             "ok=0 stage=1 reason='undecodable reachable bytes: decode @0x4110000000000000: invalid opcode' at=65 reach=0 labels=0",
-             "ok=0 stage=1 reason='undecodable reachable bytes: decode @0xcc1b000000000000: invalid opcode' at=3020 reach=0 labels=0",
-             "ok=0 stage=1 reason='undecodable reachable bytes: decode @0xde35000000000000: invalid opcode' at=9694 reach=0 labels=0",
-             "ok=0 stage=1 reason='undecodable reachable bytes: decode @0x6c17000000000000: bad bnd reg' at=1900 reach=0 labels=0",
-             "ok=0 stage=1 reason='undecodable reachable bytes: decode @0x3110000000000000: bad bnd reg' at=49 reach=0 labels=0",
+             "ok=0 stage=1 reason='undecodable reachable bytes: decode @0x1041: invalid opcode' at=65 reach=0 labels=0",
+             "ok=0 stage=1 reason='undecodable reachable bytes: decode @0x1bcc: invalid opcode' at=3020 reach=0 labels=0",
+             "ok=0 stage=1 reason='undecodable reachable bytes: decode @0x35de: invalid opcode' at=9694 reach=0 labels=0",
+             "ok=0 stage=1 reason='undecodable reachable bytes: decode @0x176c: bad bnd reg' at=1900 reach=0 labels=0",
+             "ok=0 stage=1 reason='undecodable reachable bytes: decode @0x1031: bad bnd reg' at=49 reach=0 labels=0",
              "unparsed",
-             "ok=0 stage=1 reason='undecodable reachable bytes: decode @0xbc26000000000000: bad mem operand' at=5820 reach=0 labels=0",
-             "ok=0 stage=1 reason='undecodable reachable bytes: decode @0x9f15000000000000: bad reg reg' at=1439 reach=0 labels=0",
+             "ok=0 stage=1 reason='undecodable reachable bytes: decode @0x26bc: bad mem operand' at=5820 reach=0 labels=0",
+             "ok=0 stage=1 reason='undecodable reachable bytes: decode @0x159f: bad reg reg' at=1439 reach=0 labels=0",
          }},
         {2,
          {
-             "ok=0 stage=1 reason='undecodable reachable bytes: decode @0x6335000000000000: bad mem operand' at=9571 reach=0 labels=0",
+             "ok=0 stage=1 reason='undecodable reachable bytes: decode @0x3563: bad mem operand' at=9571 reach=0 labels=0",
              "unparsed",
-             "ok=0 stage=1 reason='undecodable reachable bytes: decode @0x6f14000000000000: bad reg reg' at=1135 reach=0 labels=0",
-             "ok=0 stage=1 reason='undecodable reachable bytes: decode @0x451b000000000000: bad reg operand' at=2885 reach=0 labels=0",
-             "ok=0 stage=1 reason='undecodable reachable bytes: decode @0x9924000000000000: bad bnd mem' at=5273 reach=0 labels=0",
-             "ok=0 stage=1 reason='undecodable reachable bytes: decode @0xa51a000000000000: bad reg reg' at=2725 reach=0 labels=0",
-             "ok=0 stage=1 reason='undecodable reachable bytes: decode @0xe820000000000000: bad bnd mem' at=4328 reach=0 labels=0",
+             "ok=0 stage=1 reason='undecodable reachable bytes: decode @0x146f: bad reg reg' at=1135 reach=0 labels=0",
+             "ok=0 stage=1 reason='undecodable reachable bytes: decode @0x1b45: bad reg operand' at=2885 reach=0 labels=0",
+             "ok=0 stage=1 reason='undecodable reachable bytes: decode @0x2499: bad bnd mem' at=5273 reach=0 labels=0",
+             "ok=0 stage=1 reason='undecodable reachable bytes: decode @0x1aa5: bad reg reg' at=2725 reach=0 labels=0",
+             "ok=0 stage=1 reason='undecodable reachable bytes: decode @0x20e8: bad bnd mem' at=4328 reach=0 labels=0",
              "ok=0 stage=1 reason='direct transfer outside the code region' at=3920 reach=0 labels=0",
-             "ok=0 stage=1 reason='undecodable reachable bytes: decode @0xae18000000000000: bad mem operand' at=2222 reach=0 labels=0",
-             "ok=0 stage=1 reason='undecodable reachable bytes: decode @0x5714000000000000: bad cfi_label magic' at=1111 reach=0 labels=0",
+             "ok=0 stage=1 reason='undecodable reachable bytes: decode @0x18ae: bad mem operand' at=2222 reach=0 labels=0",
+             "ok=0 stage=1 reason='undecodable reachable bytes: decode @0x1457: bad cfi_label magic' at=1111 reach=0 labels=0",
          }},
         {3,
          {
-             "ok=0 stage=1 reason='undecodable reachable bytes: decode @0x261d000000000000: bad reg operand' at=3366 reach=0 labels=0",
-             "ok=0 stage=1 reason='undecodable reachable bytes: decode @0x2e19000000000000: bad reg imm32' at=2350 reach=0 labels=0",
+             "ok=0 stage=1 reason='undecodable reachable bytes: decode @0x1d26: bad reg operand' at=3366 reach=0 labels=0",
+             "ok=0 stage=1 reason='undecodable reachable bytes: decode @0x192e: bad reg imm32' at=2350 reach=0 labels=0",
              "unparsed",
-             "ok=0 stage=1 reason='undecodable reachable bytes: decode @0xcf17000000000000: bad mem operand' at=1999 reach=0 labels=0",
-             "ok=0 stage=1 reason='undecodable reachable bytes: decode @0x9814000000000000: bad mem operand' at=1176 reach=0 labels=0",
-             "ok=0 stage=1 reason='undecodable reachable bytes: decode @0xb811000000000000: bad mem operand' at=440 reach=0 labels=0",
+             "ok=0 stage=1 reason='undecodable reachable bytes: decode @0x17cf: bad mem operand' at=1999 reach=0 labels=0",
+             "ok=0 stage=1 reason='undecodable reachable bytes: decode @0x1498: bad mem operand' at=1176 reach=0 labels=0",
+             "ok=0 stage=1 reason='undecodable reachable bytes: decode @0x11b8: bad mem operand' at=440 reach=0 labels=0",
              "ok=0 stage=4 reason='unprovable stack pop' at=1516 reach=1599 labels=93",
-             "ok=0 stage=1 reason='undecodable reachable bytes: decode @0xda22000000000000: bad mem operand' at=4826 reach=0 labels=0",
-             "ok=0 stage=1 reason='undecodable reachable bytes: decode @0x792c000000000000: bad reg reg' at=7289 reach=0 labels=0",
+             "ok=0 stage=1 reason='undecodable reachable bytes: decode @0x22da: bad mem operand' at=4826 reach=0 labels=0",
+             "ok=0 stage=1 reason='undecodable reachable bytes: decode @0x2c79: bad reg reg' at=7289 reach=0 labels=0",
              "unparsed",
          }},
         {4,
          {
-             "ok=0 stage=1 reason='undecodable reachable bytes: decode @0xdf17000000000000: invalid opcode' at=2015 reach=0 labels=0",
-             "ok=0 stage=1 reason='undecodable reachable bytes: decode @0x1013000000000000: bad cfi_label magic' at=784 reach=0 labels=0",
+             "ok=0 stage=1 reason='undecodable reachable bytes: decode @0x17df: invalid opcode' at=2015 reach=0 labels=0",
+             "ok=0 stage=1 reason='undecodable reachable bytes: decode @0x1310: bad cfi_label magic' at=784 reach=0 labels=0",
              "ok=0 stage=1 reason='direct transfer outside the code region' at=4347 reach=0 labels=0",
-             "ok=0 stage=1 reason='undecodable reachable bytes: decode @0x7417000000000000: invalid opcode' at=1908 reach=0 labels=0",
-             "ok=0 stage=1 reason='undecodable reachable bytes: decode @0x281f000000000000: bad reg reg' at=3880 reach=0 labels=0",
-             "ok=0 stage=1 reason='undecodable reachable bytes: decode @0xf736000000000000: bad mem operand' at=9975 reach=0 labels=0",
-             "ok=0 stage=1 reason='undecodable reachable bytes: decode @0xbe21000000000000: bad mem operand' at=4542 reach=0 labels=0",
-             "ok=0 stage=1 reason='undecodable reachable bytes: decode @0x5e19000000000000: bad mem operand' at=2398 reach=0 labels=0",
-             "ok=0 stage=1 reason='undecodable reachable bytes: decode @0xb213000000000000: bad reg reg' at=946 reach=0 labels=0",
-             "ok=0 stage=1 reason='undecodable reachable bytes: decode @0xa616000000000000: bad bnd mem' at=1702 reach=0 labels=0",
+             "ok=0 stage=1 reason='undecodable reachable bytes: decode @0x1774: invalid opcode' at=1908 reach=0 labels=0",
+             "ok=0 stage=1 reason='undecodable reachable bytes: decode @0x1f28: bad reg reg' at=3880 reach=0 labels=0",
+             "ok=0 stage=1 reason='undecodable reachable bytes: decode @0x36f7: bad mem operand' at=9975 reach=0 labels=0",
+             "ok=0 stage=1 reason='undecodable reachable bytes: decode @0x21be: bad mem operand' at=4542 reach=0 labels=0",
+             "ok=0 stage=1 reason='undecodable reachable bytes: decode @0x195e: bad mem operand' at=2398 reach=0 labels=0",
+             "ok=0 stage=1 reason='undecodable reachable bytes: decode @0x13b2: bad reg reg' at=946 reach=0 labels=0",
+             "ok=0 stage=1 reason='undecodable reachable bytes: decode @0x16a6: bad bnd mem' at=1702 reach=0 labels=0",
          }},
     };
     auto it = golden.find(GetParam());
