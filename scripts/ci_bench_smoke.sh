@@ -2,9 +2,9 @@
 # CI job: smoke-test the benchmark recording pipeline. Runs the
 # cheapest figure bench through scripts/bench_record.sh and checks
 # that a snapshot with machine-readable JSON came out (plus the spawn
-# bench, checked against the newest snapshot), so bench or
-# script rot is caught on every push rather than at paper-figure
-# time. The full (slow) suite is recorded manually via
+# and lighttpd benches, checked against the newest snapshot), so
+# bench or script rot is caught on every push rather than at
+# paper-figure time. The full (slow) suite is recorded manually via
 # scripts/bench_record.sh.
 #
 # Usage: scripts/ci_bench_smoke.sh [build-dir]   (default: build-bench)
@@ -50,6 +50,23 @@ cmp "bench/results/$LABEL-spawn/BENCH_fig6a_spawn.json" "$SNAPSHOT_JSON" ||
     { echo "smoke failed: fig6a spawn results differ from $SNAPSHOT_JSON" >&2;
       exit 1; }
 
+# Idle-connection leg: bench_fig5c_lighttpd serves through poll,
+# epoll and the reverse proxy with up to a million idle connections
+# open. Its four JSONs hold simulated rows only, so each must equal
+# the newest snapshot's copy byte for byte. A change to the fd table,
+# the epoll interest list, the socket registry or the NetSim queues
+# that moves a simulated figure fails here.
+BENCH_FILTER='bench_fig5c_lighttpd' \
+    scripts/bench_record.sh "$BUILD_DIR" "$LABEL-lighttpd"
+for name in BENCH_fig5c_lighttpd BENCH_fig5c_lighttpd_proxy \
+            BENCH_fig5c_lighttpd_sweep BENCH_fig5c_lighttpd_sweep_epoll; do
+    SNAPSHOT_JSON="$(ls -d bench/results/20*/"$name.json" | sort | tail -n 1)"
+    cmp "bench/results/$LABEL-lighttpd/$name.json" "$SNAPSHOT_JSON" ||
+        { echo "smoke failed: $name differs from $SNAPSHOT_JSON" >&2;
+          exit 1; }
+done
+
 # The smoke snapshots are CI artifacts, not recorded results.
-rm -rf "$OUT_DIR" "bench/results/$LABEL-sb0" "bench/results/$LABEL-spawn"
+rm -rf "$OUT_DIR" "bench/results/$LABEL-sb0" "bench/results/$LABEL-spawn" \
+    "bench/results/$LABEL-lighttpd"
 echo "bench smoke OK"

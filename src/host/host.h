@@ -14,6 +14,7 @@
 #include <algorithm>
 #include <deque>
 #include <functional>
+#include <list>
 #include <map>
 #include <memory>
 #include <string>
@@ -201,12 +202,19 @@ class NetSim
         size_t consumed = 0;
     };
 
+    /**
+     * One connection. Ids are dense and increasing from 1, so the
+     * kernel indexes its socket table by them. The NetSim keeps every
+     * accepted connection until it is destroyed, so an idle one must
+     * be cheap: its queues are lists, which allocate nothing while
+     * empty (an empty deque holds a map and a 512-byte block).
+     */
     struct Connection {
         int id = 0;
         bool open_server = true;   // server side not closed
         bool open_client = true;   // client side not closed
-        std::deque<Chunk> to_server;
-        std::deque<Chunk> to_client;
+        std::list<Chunk> to_server;
+        std::list<Chunk> to_client;
     };
 
     /** Create a listener; returns false if the port is taken. */

@@ -445,11 +445,15 @@ OcclumSystem::on_injected_aex(oskit::Process &proc)
         // not a kernel crash.
         return;
     }
-    if (!thread->try_aex()) {
-        return; // already in an AEX (NSSA=1) — cannot nest
+    // A refused try_aex() means an AEX is already in progress (NSSA=1):
+    // it cannot nest.
+    if (thread->try_aex()) {
+        thread->resume();
+        faultsim::FaultSim::instance().count_injected_aex();
     }
-    thread->resume();
-    faultsim::FaultSim::instance().count_injected_aex();
+    // Hold no CPU between AEXs: the SIP may die before this core's
+    // next AEX, and its CPU with it.
+    thread->unbind();
 }
 
 Status

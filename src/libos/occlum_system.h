@@ -139,6 +139,13 @@ class OcclumSystem : public oskit::Kernel
     /** Slots currently free (for tests / capacity checks). */
     int free_slots() const;
 
+    /** The TCS serving `core`, or null before its first AEX (tests). */
+    sgx::SgxThread *
+    core_thread(int core)
+    {
+        return core_threads_[static_cast<size_t>(core)].get();
+    }
+
     uint64_t net_op_cost() const override
     {
         return CostModel::kEexitCycles + CostModel::kEenterCycles;

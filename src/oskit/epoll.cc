@@ -8,9 +8,37 @@ namespace occlum::oskit {
 
 EpollObject::~EpollObject()
 {
-    for (auto &[fd, entry] : interest_) {
-        detach_watches(entry);
+    clear_interest();
+}
+
+EpollObject::Entry *
+EpollObject::entry_at(int fd) const
+{
+    return fd >= 0 && static_cast<size_t>(fd) < interest_.size()
+               ? interest_[static_cast<size_t>(fd)].get()
+               : nullptr;
+}
+
+void
+EpollObject::erase_entry(int fd)
+{
+    std::unique_ptr<Entry> &slot = interest_[static_cast<size_t>(fd)];
+    detach_watches(*slot);
+    if (slot->queued) {
+        drop_from_ready(fd);
     }
+    slot.reset();
+}
+
+void
+EpollObject::clear_interest()
+{
+    for (std::unique_ptr<Entry> &entry : interest_) {
+        if (entry) {
+            detach_watches(*entry);
+        }
+    }
+    interest_.clear();
 }
 
 void
@@ -65,8 +93,10 @@ EpollObject::drop_from_ready(int fd)
 bool
 EpollObject::reaches(const EpollObject *target) const
 {
-    for (const auto &[fd, entry] : interest_) {
-        auto *nested = dynamic_cast<const EpollObject *>(entry.file.get());
+    for (const std::unique_ptr<Entry> &entry : interest_) {
+        auto *nested = entry ? dynamic_cast<const EpollObject *>(
+                                   entry->file.get())
+                             : nullptr;
         if (!nested) {
             continue;
         }
@@ -106,7 +136,7 @@ Result<int64_t>
 EpollObject::add(Kernel &kernel, int fd, const FilePtr &file,
                  uint64_t events)
 {
-    if (interest_.count(fd)) {
+    if (entry_at(fd)) {
         return Error(ErrorCode::kExist, "epoll_ctl: fd already added");
     }
     if (file.get() == this) {
@@ -117,7 +147,11 @@ EpollObject::add(Kernel &kernel, int fd, const FilePtr &file,
             return Error(ErrorCode::kLoop, "epoll_ctl: watch cycle");
         }
     }
-    Entry &entry = interest_[fd];
+    if (static_cast<size_t>(fd) >= interest_.size()) {
+        interest_.resize(static_cast<size_t>(fd) + 1);
+    }
+    interest_[static_cast<size_t>(fd)] = std::make_unique<Entry>();
+    Entry &entry = *interest_[static_cast<size_t>(fd)];
     entry.file = file;
     entry.edge = (events & static_cast<uint64_t>(abi::kEpollEt)) != 0;
     entry.events = events & ~static_cast<uint64_t>(abi::kEpollEt);
@@ -129,11 +163,11 @@ EpollObject::add(Kernel &kernel, int fd, const FilePtr &file,
 Result<int64_t>
 EpollObject::modify(Kernel &kernel, int fd, uint64_t events)
 {
-    auto it = interest_.find(fd);
-    if (it == interest_.end()) {
+    Entry *found = entry_at(fd);
+    if (!found) {
         return Error(ErrorCode::kNoEnt, "epoll_ctl: fd not watched");
     }
-    Entry &entry = it->second;
+    Entry &entry = *found;
     detach_watches(entry);
     entry.edge = (events & static_cast<uint64_t>(abi::kEpollEt)) != 0;
     entry.events = events & ~static_cast<uint64_t>(abi::kEpollEt);
@@ -149,40 +183,29 @@ EpollObject::modify(Kernel &kernel, int fd, uint64_t events)
 Result<int64_t>
 EpollObject::remove(int fd)
 {
-    auto it = interest_.find(fd);
-    if (it == interest_.end()) {
+    if (!entry_at(fd)) {
         return Error(ErrorCode::kNoEnt, "epoll_ctl: fd not watched");
     }
-    detach_watches(it->second);
-    if (it->second.queued) {
-        drop_from_ready(fd);
-    }
-    interest_.erase(it);
+    erase_entry(fd);
     return 0;
 }
 
 void
 EpollObject::forget_fd(int fd)
 {
-    auto it = interest_.find(fd);
-    if (it == interest_.end()) {
-        return;
+    if (entry_at(fd)) {
+        erase_entry(fd);
     }
-    detach_watches(it->second);
-    if (it->second.queued) {
-        drop_from_ready(fd);
-    }
-    interest_.erase(it);
 }
 
 void
 EpollObject::on_source_event(Kernel &kernel, int fd, uint64_t when)
 {
-    auto it = interest_.find(fd);
-    if (it == interest_.end()) {
+    Entry *entry = entry_at(fd);
+    if (!entry) {
         return;
     }
-    enqueue_candidate(fd, it->second, when);
+    enqueue_candidate(fd, *entry, when);
     // Recursive wake: blocked epoll_wait callers get their retry (or
     // a timer at `when` for in-flight data), and any parent epoll
     // watching this epoll fd gets the same notification — nesting
@@ -196,25 +219,24 @@ EpollObject::collect(Kernel &kernel, int64_t *out, uint64_t max_events,
 {
     uint64_t now = kernel.clock().cycles();
     int64_t n = 0;
-    std::deque<int> kept;
     size_t pending = ready_.size();
     while (pending-- > 0) {
         int fd = ready_.front();
         ready_.pop_front();
-        auto it = interest_.find(fd);
-        if (it == interest_.end() || !it->second.queued) {
+        Entry *found = entry_at(fd);
+        if (!found || !found->queued) {
             continue; // stale: removed or already dequeued
         }
-        Entry &entry = it->second;
+        Entry &entry = *found;
         if (n == static_cast<int64_t>(max_events)) {
-            kept.push_back(fd); // out of room this call; keep queued
+            kept_.push_back(fd); // out of room this call; keep queued
             continue;
         }
         if (entry.due > now) {
             // In-flight: stays a candidate; the caller blocks no
             // later than this.
             min_due = std::min(min_due, entry.due);
-            kept.push_back(fd);
+            kept_.push_back(fd);
             continue;
         }
         uint64_t bits =
@@ -230,7 +252,7 @@ EpollObject::collect(Kernel &kernel, int64_t *out, uint64_t max_events,
                 // notification (a genuinely new edge) re-queues it.
                 entry.queued = false;
             } else {
-                kept.push_back(fd); // level-triggered: still high
+                kept_.push_back(fd); // level-triggered: still high
             }
             continue;
         }
@@ -238,20 +260,15 @@ EpollObject::collect(Kernel &kernel, int64_t *out, uint64_t max_events,
         if (due != ~0ull && due > now) {
             entry.due = due;
             min_due = std::min(min_due, due);
-            kept.push_back(fd);
+            kept_.push_back(fd);
         } else {
             entry.queued = false; // spurious candidate: drop
         }
     }
     // Order-preserving: verified-but-kept candidates rotate back in
     // their original relative order (fairness across busy fds).
-    if (ready_.empty()) {
-        ready_ = std::move(kept);
-    } else {
-        for (int fd : kept) {
-            ready_.push_back(fd);
-        }
-    }
+    ready_.insert(ready_.end(), kept_.begin(), kept_.end());
+    kept_.clear();
     return n;
 }
 
@@ -260,16 +277,16 @@ EpollObject::poll_ready(Kernel &kernel)
 {
     uint64_t now = kernel.clock().cycles();
     for (int fd : ready_) {
-        auto it = interest_.find(fd);
-        if (it == interest_.end() || !it->second.queued) {
+        const Entry *found = entry_at(fd);
+        if (!found || !found->queued) {
             continue;
         }
-        const Entry &entry = it->second;
+        const Entry &entry = *found;
         if (entry.due > now) {
             continue;
         }
         uint64_t bits =
-            it->second.file->poll_ready(kernel) &
+            entry.file->poll_ready(kernel) &
             (entry.events |
              static_cast<uint64_t>(abi::kPollErr | abi::kPollHup));
         if (bits != 0) {
@@ -285,11 +302,11 @@ EpollObject::next_event_time(Kernel &kernel)
     uint64_t now = kernel.clock().cycles();
     uint64_t min_due = ~0ull;
     for (int fd : ready_) {
-        auto it = interest_.find(fd);
-        if (it == interest_.end() || !it->second.queued) {
+        const Entry *entry = entry_at(fd);
+        if (!entry || !entry->queued) {
             continue;
         }
-        uint64_t due = it->second.due;
+        uint64_t due = entry->due;
         if (due > now) {
             min_due = std::min(min_due, due);
         }
@@ -302,10 +319,7 @@ EpollObject::on_fd_release(Kernel &kernel)
 {
     (void)kernel;
     if (--fd_refs_ == 0) {
-        for (auto &[fd, entry] : interest_) {
-            detach_watches(entry);
-        }
-        interest_.clear();
+        clear_interest();
         ready_.clear();
     }
 }

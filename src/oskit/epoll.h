@@ -29,7 +29,8 @@
 #define OCCLUM_OSKIT_EPOLL_H
 
 #include <deque>
-#include <map>
+#include <memory>
+#include <vector>
 
 #include "oskit/file_object.h"
 
@@ -80,10 +81,6 @@ class EpollObject : public FileObject
     int64_t collect(Kernel &kernel, int64_t *out, uint64_t max_events,
                     uint64_t &min_due);
 
-    /** True if `fd` is in the interest list. */
-    bool contains(int fd) const { return interest_.count(fd) != 0; }
-    size_t interest_size() const { return interest_.size(); }
-
     /** Watch-cycle check: can events from `target` reach this epoll? */
     bool reaches(const EpollObject *target) const;
 
@@ -115,9 +112,22 @@ class EpollObject : public FileObject
     /** Initial/MOD-time readiness probe: queue if ready or in-flight. */
     void prime_entry(Kernel &kernel, int fd, Entry &entry);
     void drop_from_ready(int fd);
+    /** The interest entry for `fd`, or null. */
+    Entry *entry_at(int fd) const;
+    /** Drop the interest entry for `fd` (which must exist). */
+    void erase_entry(int fd);
+    /** Drop every interest entry. */
+    void clear_interest();
 
-    std::map<int, Entry> interest_;
+    /**
+     * The interest list, indexed by fd (null = not watched). Entries
+     * live behind unique_ptr because their EpollWatch members sit on
+     * source WaitQueues and must not move when the table grows.
+     */
+    std::vector<std::unique_ptr<Entry>> interest_;
     std::deque<int> ready_;
+    /** collect()'s kept candidates, reused across calls. */
+    std::vector<int> kept_;
     int fd_refs_ = 0;
 };
 

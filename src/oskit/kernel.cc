@@ -34,13 +34,9 @@ void
 epoll_fd_dropped(Process &proc, int fd, const FilePtr &file)
 {
     if (auto *ep = dynamic_cast<EpollObject *>(file.get())) {
-        bool still_open = false;
-        for (const auto &[ofd, f] : proc.fds) {
-            if (f.get() == ep) {
-                still_open = true;
-                break;
-            }
-        }
+        bool still_open =
+            std::any_of(proc.fds.begin(), proc.fds.end(),
+                        [ep](const FilePtr &f) { return f.get() == ep; });
         if (!still_open) {
             auto &eps = proc.epolls;
             eps.erase(std::remove(eps.begin(), eps.end(), ep),
@@ -197,18 +193,17 @@ Kernel::spawn(const std::string &path, const std::vector<std::string> &argv,
         FilePtr file;
         int64_t mapped = stdio_fds ? (*stdio_fds)[i] : -1;
         if (parent && mapped >= 0) {
-            auto fit = parent->fds.find(static_cast<int>(mapped));
-            if (fit == parent->fds.end()) {
+            if (!parent->file_at(mapped)) {
                 return Error(ErrorCode::kBadF, "spawn: bad stdio fd");
             }
-            file = fit->second;
-        } else if (parent && parent->fds.count(i)) {
-            file = parent->fds.at(i);
+            file = parent->fds[static_cast<size_t>(mapped)];
+        } else if (parent && parent->file_at(i)) {
+            file = parent->fds[static_cast<size_t>(i)];
         } else {
             file = console;
         }
         file->on_fd_acquire();
-        proc->fds[i] = std::move(file);
+        proc->install_fd(i, std::move(file));
     }
 
     int pid = proc->pid;
@@ -247,10 +242,13 @@ Kernel::kill_process(Process &proc, DeathCause cause, int64_t code)
     home_queue(proc).erase(proc.pid);
     // Release fds so pipe peers see EOF / EPIPE (the release hooks
     // wake any peers blocked on the other end).
-    for (auto &[fd, file] : proc.fds) {
-        file->on_fd_release(*this);
+    for (const FilePtr &file : proc.fds) {
+        if (file) {
+            file->on_fd_release(*this);
+        }
     }
     proc.fds.clear();
+    proc.fds.shrink_to_fit();
     proc.epolls.clear();
     proc.fd_scan_hint = 0;
     // Wake waitpid() callers parked on this pid.
@@ -434,9 +432,8 @@ Kernel::install_net_events()
     host::NetSim::Events events;
     events.on_data = [this](host::NetSim::Connection *conn,
                             bool to_server, uint64_t when) {
-        auto it = socket_registry_.find({conn, to_server});
-        if (it != socket_registry_.end()) {
-            wake_queue(it->second->read_waiters(), when);
+        if (FileObject *sock = socket_at(conn, to_server)) {
+            wake_queue(sock->read_waiters(), when);
         }
     };
     events.on_connect = [this](uint16_t port, uint64_t when) {
@@ -448,27 +445,39 @@ Kernel::install_net_events()
     events.on_close = [this](host::NetSim::Connection *conn,
                              bool closed_by_server) {
         // The side still open sees EOF (and EPIPE on write) now.
-        auto it = socket_registry_.find({conn, !closed_by_server});
-        if (it != socket_registry_.end()) {
+        if (FileObject *sock = socket_at(conn, !closed_by_server)) {
             uint64_t now = clock_->cycles();
-            wake_queue(it->second->read_waiters(), now);
-            wake_queue(it->second->write_waiters(), now);
+            wake_queue(sock->read_waiters(), now);
+            wake_queue(sock->write_waiters(), now);
         }
     };
     net_->set_events(std::move(events));
+}
+
+FileObject *
+Kernel::socket_at(const host::NetSim::Connection *conn,
+                  bool at_server) const
+{
+    size_t id = static_cast<size_t>(conn->id);
+    return id < socket_registry_.size() ? socket_registry_[id][at_server]
+                                        : nullptr;
 }
 
 void
 Kernel::register_socket(host::NetSim::Connection *conn, bool at_server,
                         FileObject *file)
 {
-    socket_registry_[{conn, at_server}] = file;
+    size_t id = static_cast<size_t>(conn->id);
+    if (id >= socket_registry_.size()) {
+        socket_registry_.resize(id + 1);
+    }
+    socket_registry_[id][at_server] = file;
 }
 
 void
 Kernel::socket_closed(host::NetSim::Connection *conn, bool at_server)
 {
-    socket_registry_.erase({conn, at_server});
+    socket_registry_[static_cast<size_t>(conn->id)][at_server] = nullptr;
 }
 
 void
@@ -873,7 +882,10 @@ Kernel::steal_pick(int core, int cap)
     int victim = -1;
     int victim_count = 1;
     for (int other = 0; other < num_cores_; ++other) {
-        if (other == core) {
+        // The eligible count never exceeds the queue size, so a queue
+        // no longer than the best count so far cannot beat it.
+        if (other == core || run_queues_[other].size() <=
+                                 static_cast<size_t>(victim_count)) {
             continue;
         }
         int count = 0;
@@ -1009,8 +1021,9 @@ Kernel::dispatch(Process &proc, uint64_t num,
                  const uint64_t args[abi::kSyscallArgs])
 {
     auto file_of = [&](uint64_t fd) -> FilePtr {
-        auto it = proc.fds.find(static_cast<int>(fd));
-        return it == proc.fds.end() ? nullptr : it->second;
+        return proc.file_at(static_cast<int64_t>(fd))
+                   ? proc.fds[static_cast<size_t>(fd)]
+                   : nullptr;
     };
 
     switch (static_cast<Sys>(num)) {
@@ -1026,9 +1039,8 @@ Kernel::dispatch(Process &proc, uint64_t num,
         // Hot path: no FilePtr refcount traffic (the fd table entry
         // outlives the call) and a reused kernel bounce buffer
         // instead of a fresh zero-filled allocation per syscall.
-        auto it = proc.fds.find(static_cast<int>(args[0]));
-        if (it == proc.fds.end()) return neg_errno(ErrorCode::kBadF);
-        FileObject *file = it->second.get();
+        FileObject *file = proc.file_at(static_cast<int64_t>(args[0]));
+        if (!file) return neg_errno(ErrorCode::kBadF);
         uint64_t buf = args[1];
         uint64_t len = std::min<uint64_t>(args[2], 1 << 20);
         Sys sys = static_cast<Sys>(num);
@@ -1093,21 +1105,23 @@ Kernel::dispatch(Process &proc, uint64_t num,
       case Sys::kOpen: {
         auto path = read_user_string(proc, args[0], args[1]);
         if (!path.ok()) return neg_errno(path.error().code);
+        int fd = proc.alloc_fd();
+        if (fd < 0) return neg_errno(ErrorCode::kMFile);
         auto file = fs_open(proc, path.value(), args[2]);
         if (!file.ok()) return neg_errno(file.error().code);
-        int fd = proc.alloc_fd();
         file.value()->on_fd_acquire();
-        proc.fds[fd] = file.take();
+        proc.install_fd(fd, file.take());
         return fd;
       }
 
       case Sys::kClose: {
+        if (!proc.file_at(static_cast<int64_t>(args[0]))) {
+            return neg_errno(ErrorCode::kBadF);
+        }
         int fd = static_cast<int>(args[0]);
-        auto it = proc.fds.find(fd);
-        if (it == proc.fds.end()) return neg_errno(ErrorCode::kBadF);
-        FilePtr file = it->second; // keep alive through the hooks
+        FilePtr file = proc.fds[static_cast<size_t>(fd)]; // keep alive
         file->on_fd_release(*this);
-        proc.fds.erase(it);
+        proc.fds[static_cast<size_t>(fd)].reset();
         proc.fd_closed(fd);
         epoll_fd_dropped(proc, fd, file);
         return 0;
@@ -1174,20 +1188,27 @@ Kernel::dispatch(Process &proc, uint64_t num,
         // alloc_fd() hands out the lowest fd absent from the table,
         // so two back-to-back allocations would alias.
         int rfd = proc.alloc_fd();
+        if (rfd < 0) return neg_errno(ErrorCode::kMFile);
         read_end->on_fd_acquire();
-        proc.fds[rfd] = read_end;
+        proc.install_fd(rfd, read_end);
         int wfd = proc.alloc_fd();
+        if (wfd < 0) {
+            read_end->on_fd_release(*this);
+            proc.fds[static_cast<size_t>(rfd)].reset();
+            proc.fd_closed(rfd);
+            return neg_errno(ErrorCode::kMFile);
+        }
         write_end->on_fd_acquire();
-        proc.fds[wfd] = write_end;
+        proc.install_fd(wfd, write_end);
         int64_t fds[2] = {rfd, wfd};
         if (!copy_to_user(proc, args[0], fds, sizeof(fds)).ok()) {
             // Linux's do_pipe2 cleanup: a failed copy-out uninstalls
             // both descriptors. Leaving them installed would leak two
             // fds the program never learned the numbers of.
             write_end->on_fd_release(*this);
-            proc.fds.erase(wfd);
+            proc.fds[static_cast<size_t>(wfd)].reset();
             read_end->on_fd_release(*this);
-            proc.fds.erase(rfd);
+            proc.fds[static_cast<size_t>(rfd)].reset();
             proc.fd_closed(rfd);
             return neg_errno(ErrorCode::kFault);
         }
@@ -1197,26 +1218,31 @@ Kernel::dispatch(Process &proc, uint64_t num,
       case Sys::kDup2: {
         FilePtr file = file_of(args[0]);
         if (!file) return neg_errno(ErrorCode::kBadF);
-        int newfd = static_cast<int>(args[1]);
-        if (static_cast<int>(args[0]) == newfd) {
+        // The whole 64-bit argument is range-checked: truncating it
+        // to int first let dup2(fd, -1) install descriptor -1.
+        int64_t target = static_cast<int64_t>(args[1]);
+        if (target < 0 || target >= kMaxFds) {
+            return neg_errno(ErrorCode::kBadF);
+        }
+        int newfd = static_cast<int>(target);
+        if (static_cast<int64_t>(args[0]) == target) {
             // POSIX: dup2(fd, fd) is a no-op. The release-then-
             // acquire below would transiently drop the last pipe
             // reader/writer, delivering a spurious EOF/EPIPE wake to
             // a blocked peer.
             return newfd;
         }
-        auto old = proc.fds.find(newfd);
-        if (old != proc.fds.end()) {
+        if (proc.file_at(newfd)) {
             // Implicit close: full kClose discipline minus the
             // fd_closed() hint rewind (the slot is reoccupied on the
             // next line, so everything below the hint stays taken).
-            FilePtr doomed = old->second;
+            FilePtr doomed = proc.fds[static_cast<size_t>(newfd)];
             doomed->on_fd_release(*this);
-            proc.fds.erase(old);
+            proc.fds[static_cast<size_t>(newfd)].reset();
             epoll_fd_dropped(proc, newfd, doomed);
         }
         file->on_fd_acquire();
-        proc.fds[newfd] = file;
+        proc.install_fd(newfd, std::move(file));
         return newfd;
       }
 
@@ -1325,14 +1351,15 @@ Kernel::dispatch(Process &proc, uint64_t num,
       case Sys::kSockListen: {
         if (!net_) return neg_errno(ErrorCode::kNoSys);
         uint16_t port = static_cast<uint16_t>(args[0]);
+        int fd = proc.alloc_fd();
+        if (fd < 0) return neg_errno(ErrorCode::kMFile);
         if (!net_->listen(port, static_cast<int>(args[1]))) {
             return neg_errno(ErrorCode::kBusy);
         }
-        int fd = proc.alloc_fd();
         auto listener = std::make_shared<ListenerFile>(net_, port);
         listener->on_fd_acquire();
-        proc.fds[fd] = listener;
         listener_registry_[port] = listener.get();
+        proc.install_fd(fd, std::move(listener));
         return fd;
       }
 
@@ -1341,6 +1368,9 @@ Kernel::dispatch(Process &proc, uint64_t num,
         FilePtr file = file_of(args[0]);
         auto *listener = dynamic_cast<ListenerFile *>(file.get());
         if (!listener) return neg_errno(ErrorCode::kBadF);
+        // At the cap the connection stays queued on the listener.
+        int fd = proc.alloc_fd();
+        if (fd < 0) return neg_errno(ErrorCode::kMFile);
         host::NetSim::Connection *conn =
             net_->try_accept(listener->port(), clock_->cycles());
         if (!conn) {
@@ -1349,24 +1379,24 @@ Kernel::dispatch(Process &proc, uint64_t num,
                             {&file->read_waiters()});
         }
         charge(CostModel::kNetAcceptCycles);
-        int fd = proc.alloc_fd();
         auto sock = std::make_shared<SocketFile>(net_, conn, true);
         sock->on_fd_acquire();
-        proc.fds[fd] = sock;
         register_socket(conn, true, sock.get());
+        proc.install_fd(fd, std::move(sock));
         return fd;
       }
 
       case Sys::kSockConnect: {
         if (!net_) return neg_errno(ErrorCode::kNoSys);
+        int fd = proc.alloc_fd();
+        if (fd < 0) return neg_errno(ErrorCode::kMFile);
         auto conn = net_->connect(static_cast<uint16_t>(args[0]));
         if (!conn.ok()) return neg_errno(conn.error().code);
-        int fd = proc.alloc_fd();
         auto sock = std::make_shared<SocketFile>(net_, conn.value(),
                                                  false);
         sock->on_fd_acquire();
-        proc.fds[fd] = sock;
         register_socket(conn.value(), false, sock.get());
+        proc.install_fd(fd, std::move(sock));
         return fd;
       }
 
@@ -1404,11 +1434,10 @@ Kernel::dispatch(Process &proc, uint64_t num,
             int64_t events = rec[3 * i + 1];
             int64_t revents = 0;
             if (fd >= 0) { // POSIX: negative fds are skipped
-                auto fit = proc.fds.find(static_cast<int>(fd));
-                if (fit == proc.fds.end()) {
+                FileObject *pf = proc.file_at(fd);
+                if (!pf) {
                     revents = abi::kPollNval;
                 } else {
-                    FileObject *pf = fit->second.get();
                     uint64_t bits = pf->poll_ready(*this);
                     // POLLERR/POLLHUP are always reported; POLLIN/
                     // POLLOUT only when requested.
@@ -1447,10 +1476,11 @@ Kernel::dispatch(Process &proc, uint64_t num,
 
       case Sys::kEpollCreate: {
         int fd = proc.alloc_fd();
+        if (fd < 0) return neg_errno(ErrorCode::kMFile);
         auto ep = std::make_shared<EpollObject>();
         ep->on_fd_acquire();
-        proc.fds[fd] = ep;
         proc.epolls.push_back(ep.get());
+        proc.install_fd(fd, std::move(ep));
         return fd;
       }
 

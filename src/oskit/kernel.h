@@ -21,6 +21,7 @@
 #define OCCLUM_OSKIT_KERNEL_H
 
 #include <algorithm>
+#include <array>
 #include <map>
 #include <memory>
 #include <queue>
@@ -55,6 +56,12 @@ enum class ProcState {
     kDead,
 };
 
+/**
+ * Descriptors per process: fds live in [0, kMaxFds). Linux's default
+ * nr_open, so the C1M sweep's million idle connections fit.
+ */
+constexpr int kMaxFds = 1 << 20;
+
 /** One process (a SIP under Occlum; a full enclave under EIP). */
 struct Process {
     int pid = 0;
@@ -83,7 +90,14 @@ struct Process {
     vm::Cpu *cpu = nullptr;
     vm::AddressSpace *space = nullptr;
 
-    std::map<int, FilePtr> fds;
+    /**
+     * The fd table, indexed by descriptor: a null slot is a closed fd.
+     * Dense, so every per-fd syscall is one bounds check and one load
+     * however many descriptors are open, and ascending iteration is
+     * ascending fd order (kill_process releases in that order, which
+     * fixes the order of the wakes and epoll events it causes).
+     */
+    std::vector<FilePtr> fds;
 
     std::vector<std::string> argv;
 
@@ -152,25 +166,44 @@ struct Process {
         fd_scan_hint = std::min(fd_scan_hint, fd);
     }
 
+    /** The open file at `fd`, or null (closed or out of range). */
+    FileObject *
+    file_at(int64_t fd) const
+    {
+        return fd >= 0 && fd < static_cast<int64_t>(fds.size())
+                   ? fds[static_cast<size_t>(fd)].get()
+                   : nullptr;
+    }
+
+    /** Install `file` at `fd` (in [0, kMaxFds)), growing the table. */
+    void
+    install_fd(int fd, FilePtr file)
+    {
+        if (static_cast<size_t>(fd) >= fds.size()) {
+            fds.resize(static_cast<size_t>(fd) + 1);
+        }
+        fds[static_cast<size_t>(fd)] = std::move(file);
+    }
+
     /**
      * POSIX-style allocation: the lowest descriptor not currently in
-     * the fd table. The caller must install the returned fd in `fds`
-     * before allocating again (pipe() allocates two in a row), or the
-     * same number comes back twice.
+     * the fd table, or -1 when every descriptor below kMaxFds is taken
+     * (the caller returns EMFILE). The caller must install the
+     * returned fd before allocating again (pipe() allocates two in a
+     * row), or the same number comes back twice.
      */
     int
     alloc_fd()
     {
-        int fd = fd_scan_hint;
-        auto it = fds.lower_bound(fd);
-        while (it != fds.end() && it->first == fd) {
+        size_t fd = static_cast<size_t>(fd_scan_hint);
+        while (fd < fds.size() && fds[fd]) {
             ++fd;
-            ++it;
         }
-        // Everything below the returned fd is occupied, so the next
-        // scan may start here (the caller installs this fd).
-        fd_scan_hint = fd;
-        return fd;
+        // Everything below fd is occupied, so the next scan may start
+        // here (the caller installs this fd).
+        fd_scan_hint = static_cast<int>(fd);
+        return fd < static_cast<size_t>(kMaxFds) ? static_cast<int>(fd)
+                                                 : -1;
     }
 };
 
@@ -550,9 +583,16 @@ class Kernel
     /** waitpid(pid) wait queues, keyed by the awaited pid. */
     std::map<int, WaitQueue> pid_waiters_;
 
-    /** Live sockets by (connection, at_server), for NetSim events. */
-    std::map<std::pair<host::NetSim::Connection *, bool>, FileObject *>
-        socket_registry_;
+    /**
+     * Live sockets for NetSim events: slot [id][at_server] holds the
+     * socket open on that end of connection `id`, or null. NetSim
+     * hands out connection ids densely from 1, so this is a direct
+     * index, not a search.
+     */
+    std::vector<std::array<FileObject *, 2>> socket_registry_;
+    /** The socket on one end of `conn`, or null. */
+    FileObject *socket_at(const host::NetSim::Connection *conn,
+                          bool at_server) const;
     /** Live listeners by port, for NetSim connect events. */
     std::map<uint16_t, FileObject *> listener_registry_;
 

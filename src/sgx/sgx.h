@@ -259,7 +259,14 @@ class SgxThread
     SgxThread(const SgxThread &) = delete;
     SgxThread &operator=(const SgxThread &) = delete;
 
-    vm::Cpu &cpu() { return *cpu_; }
+    vm::Cpu &
+    cpu()
+    {
+        OCC_CHECK_MSG(cpu_ != nullptr, "SgxThread::cpu() while unbound");
+        return *cpu_;
+    }
+    /** False between unbind() and the next bind. */
+    bool bound() const { return cpu_ != nullptr; }
     Enclave &enclave() { return *enclave_; }
 
     /**
@@ -291,6 +298,21 @@ class SgxThread
     bind(vm::Cpu &cpu)
     {
         OCC_CHECK_MSG(try_bind(cpu), "rebind with an occupied SSA frame");
+    }
+
+    /**
+     * Drop the CPU binding, so the TCS holds no pointer to a logical
+     * processor that may be destroyed before the next bind (a SIP
+     * that dies between two AEXs on its core). Not a hardware
+     * transition, so nothing is recorded. Illegal mid-AEX, for the
+     * reason try_bind() refuses there.
+     */
+    void
+    unbind()
+    {
+        OCC_CHECK_MSG(phase_ != TcsPhase::kAexed,
+                      "unbind with an occupied SSA frame");
+        cpu_ = nullptr;
     }
 
     /**

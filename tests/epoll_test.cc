@@ -11,6 +11,7 @@
 
 #include "baseline/linux_system.h"
 #include "faultsim/faultsim.h"
+#include "libos/occlum_system.h"
 #include "toolchain/minic.h"
 #include "trace/metrics.h"
 #include "workloads/workloads.h"
@@ -534,6 +535,182 @@ TEST(EpollWorkload, ReverseProxyServesThroughBackendPool)
     ASSERT_TRUE(code.ok());
     EXPECT_EQ(code.value(), 0);
     EXPECT_TRUE(h.sys.all_exited());
+}
+
+/** What the idle-herd proxy run leaves behind. */
+struct HerdResult {
+    std::vector<int> death_order;
+    uint64_t cycles = 0;
+    int served = 0;
+    uint64_t epoll_waits = 0;
+    uint64_t wakeups = 0;
+    uint64_t wasted_retries = 0;
+    uint64_t steals = 0;
+};
+
+/**
+ * The web_proxy shape at test scale: the epoll proxy (frontend + 4
+ * backends) on Occlum at `cores`, with `idle` silent connections
+ * accepted into the frontend's epoll set before `requests` requests
+ * from 4 closed-loop clients. The idle herd is what makes the fd
+ * table, the interest list and the socket registry large.
+ */
+HerdResult
+run_idle_herd(int cores, int idle, int requests)
+{
+    faultsim::FaultSim::instance().reseed(); // see run_proxy_at
+    trace::Registry::instance().reset();
+    static const workloads::ProgramBuild frontend =
+        workloads::build_program(workloads::proxy_frontend_source());
+    static const workloads::ProgramBuild backend =
+        workloads::build_program(workloads::proxy_backend_source());
+    constexpr int kClients = 4;
+    constexpr size_t kResponse = 10240;
+
+    sgx::Platform platform;
+    host::NetSim net(platform.clock());
+    host::HostFileStore files;
+    files.put("proxy_frontend", frontend.occlum);
+    files.put("proxy_backend", backend.occlum);
+    libos::OcclumSystem::Config config;
+    config.num_slots = 8;
+    config.slot_code_size = 1 << 20;
+    config.slot_data_size = 8 << 20;
+    config.verifier_key = workloads::bench_verifier_key();
+    config.cores = cores;
+    libos::OcclumSystem sys(platform, files, config, &net);
+    SimClock &clock = platform.clock();
+
+    auto pid = sys.spawn("proxy_frontend",
+                         {"proxy_frontend", std::to_string(requests),
+                          std::to_string(idle + kClients + 16)});
+    EXPECT_TRUE(pid.ok());
+    sys.run(/*allow_idle=*/true);
+    for (int i = 0; i < idle; ++i) {
+        EXPECT_TRUE(net.connect(8080).ok());
+    }
+    while (net.next_accept_time(8080) != ~0ull) {
+        if (!sys.step_round()) {
+            uint64_t wake =
+                std::min(sys.next_wake_time(), net.next_accept_time(8080));
+            if (wake == ~0ull || wake <= clock.cycles()) {
+                ADD_FAILURE() << "idle accepts stalled";
+                break;
+            }
+            clock.advance(wake - clock.cycles());
+        }
+    }
+    sys.run(/*allow_idle=*/true);
+
+    struct Client {
+        host::NetSim::Connection *conn = nullptr;
+        size_t received = 0;
+    };
+    std::vector<Client> clients(kClients);
+    const char request[] = "GET / HTTP/1.1\r\n\r\n";
+    int issued = 0;
+    HerdResult r;
+    auto start = [&](Client &c) {
+        c.conn = nullptr;
+        if (issued == requests) {
+            return;
+        }
+        auto conn = net.connect(8080);
+        ASSERT_TRUE(conn.ok());
+        c.conn = conn.value();
+        c.received = 0;
+        net.send(c.conn, false, reinterpret_cast<const uint8_t *>(request),
+                 sizeof(request) - 1);
+        ++issued;
+    };
+    for (Client &c : clients) {
+        start(c);
+    }
+    uint8_t buf[4096];
+    while (r.served < requests) {
+        bool progress = sys.step_round();
+        uint64_t wake = sys.next_wake_time();
+        for (Client &c : clients) {
+            if (!c.conn) {
+                continue;
+            }
+            uint64_t next_arrival = ~0ull;
+            size_t n = net.recv(c.conn, false, buf, sizeof(buf),
+                                clock.cycles(), next_arrival);
+            wake = std::min(wake, next_arrival);
+            if (n == 0) {
+                continue;
+            }
+            progress = true;
+            c.received += n;
+            if (c.received >= kResponse) {
+                EXPECT_EQ(c.received, kResponse);
+                net.close(c.conn, false);
+                ++r.served;
+                start(c);
+            }
+        }
+        if (!progress) {
+            if (wake == ~0ull || wake <= clock.cycles()) {
+                ADD_FAILURE() << "proxy stalled at " << r.served;
+                break;
+            }
+            clock.advance(wake - clock.cycles());
+        }
+    }
+    sys.run(/*allow_idle=*/true);
+    auto code = sys.exit_code(pid.value());
+    EXPECT_TRUE(code.ok() && code.value() == 0) << "cores " << cores;
+    EXPECT_TRUE(sys.all_exited()) << "cores " << cores;
+
+    r.death_order = sys.death_order();
+    r.cycles = clock.cycles();
+    auto &registry = trace::Registry::instance();
+    r.epoll_waits = registry.counter("kernel.epoll_waits").value();
+    r.wakeups = registry.counter("kernel.wakeups").value();
+    r.wasted_retries = registry.counter("kernel.wasted_retries").value();
+    // Per-core counters exist only when cores > 1 (Kernel::set_cores).
+    for (int c = 0; cores > 1 && c < cores; ++c) {
+        r.steals += registry
+                        .counter("kernel.core" + std::to_string(c) +
+                                 ".steals")
+                        .value();
+    }
+    return r;
+}
+
+TEST(EpollWorkload, IdleHerdProxyMatchesPinnedSchedule)
+{
+    // 4,096 idle connections sit in the frontend's epoll set (and fd
+    // table, and socket registry) while 64 requests flow. The figures
+    // were recorded when the fd table, the interest list and the
+    // socket registry were ordered maps and the NetSim queues were
+    // deques: the host structures behind an fd may change, the
+    // simulated schedule may not.
+    struct Golden {
+        int cores;
+        std::vector<int> death_order;
+        uint64_t cycles;
+        uint64_t epoll_waits, wakeups, wasted_retries, steals;
+    };
+    const Golden goldens[] = {
+        {1, {2, 3, 4, 5, 1}, 778098029, 4253, 164, 0, 0},
+        {4, {2, 3, 4, 5, 1}, 777187777, 4253, 164, 0, 20},
+    };
+    for (const Golden &g : goldens) {
+        HerdResult r = run_idle_herd(g.cores, 4096, 64);
+        EXPECT_EQ(r.served, 64) << "cores " << g.cores;
+        if (faultsim::FaultSim::instance().active()) {
+            continue; // an ambient fault plan moves every figure below
+        }
+        EXPECT_EQ(r.death_order, g.death_order) << "cores " << g.cores;
+        EXPECT_EQ(r.cycles, g.cycles) << "cores " << g.cores;
+        EXPECT_EQ(r.epoll_waits, g.epoll_waits) << "cores " << g.cores;
+        EXPECT_EQ(r.wakeups, g.wakeups) << "cores " << g.cores;
+        EXPECT_EQ(r.wasted_retries, g.wasted_retries)
+            << "cores " << g.cores;
+        EXPECT_EQ(r.steals, g.steals) << "cores " << g.cores;
+    }
 }
 
 } // namespace

@@ -384,6 +384,41 @@ run_storm(int cores, uint64_t aex_every, uint64_t seed)
     return r;
 }
 
+TEST(SmashExBattery, CoreThreadHoldsNoCpuOfADeadSip)
+{
+    // A core's TCS is bound to whichever SIP an injected AEX
+    // interrupts. It used to stay bound until the core's next AEX, so
+    // once that SIP died the TCS pointed at its freed CPU.
+    ScopedMonitorMode mode(/*strict=*/true);
+    FaultSim::instance().reseed();
+    FaultPlan plan;
+    plan.seed = 5;
+    plan.aex_every = 512;
+    ScopedFaultPlan scoped(plan);
+
+    sgx::Platform platform;
+    host::HostFileStore files;
+    files.put("work", build_signed(kWorkerSource));
+    libos::OcclumSystem::Config config;
+    config.num_slots = 2;
+    config.fs_blocks = 1 << 10;
+    config.verifier_key = vkey();
+    config.cores = 1;
+    libos::OcclumSystem sys(platform, files, config);
+    auto pid = sys.spawn("work", {"work"});
+    ASSERT_TRUE(pid.ok());
+    sys.run();
+    ASSERT_TRUE(sys.exit_code(pid.value()).ok());
+
+    sgx::SgxThread *thread = sys.core_thread(0);
+    ASSERT_NE(thread, nullptr); // the storm reached the core
+    if (thread->bound()) {
+        // Reads the dead SIP's CPU: a use-after-free under ASan.
+        EXPECT_EQ(thread->cpu().instructions(), 0u);
+    }
+    EXPECT_FALSE(thread->bound());
+}
+
 TEST(OrderlinessBattery, AexStormsAcrossCoresProduceZeroViolations)
 {
     ScopedMonitorMode mode(/*strict=*/true); // any illegal path panics

@@ -9,7 +9,10 @@
 
 #include <algorithm>
 #include <deque>
+#include <map>
+#include <set>
 
+#include "base/rng.h"
 #include "baseline/linux_system.h"
 #include "faultsim/faultsim.h"
 #include "isa/assembler.h"
@@ -1485,6 +1488,301 @@ func main() {
 }
 )"),
               0);
+}
+
+TEST(Regression, Dup2OutOfRangeTargetIsEbadfAndInstallsNothing)
+{
+    // dup2 used to truncate newfd to int and install it unchecked:
+    // dup2(w, -1) parked a second reference to the pipe writer at
+    // descriptor -1, so closing the real writer never gave the reader
+    // EOF. Out-of-range targets are EBADF now and install nothing.
+    KernelHarness h;
+    EXPECT_EQ(h.run(R"(
+global int pfds[3];
+global byte b[8];
+func main() {
+    var fds[2];
+    if (pipe(fds) != 0) { return 1; }                  // 3, 4
+    if (dup2(fds[1], 0 - 1) != -9) { return 2; }
+    if (dup2(fds[1], 1048576) != -9) { return 3; }     // kMaxFds
+    if (dup2(fds[1], 1048575) != 1048575) { return 4; }
+    if (close(1048575) != 0) { return 5; }
+    if (close(fds[1]) != 0) { return 6; }
+    // No descriptor holds the writer any more: hangup, then EOF.
+    pfds[0] = fds[0];
+    pfds[1] = 0x1;
+    if (poll(pfds, 1, 0) != 1) { return 7; }
+    if (pfds[2] != 0x10) { return 8; }                 // POLLHUP
+    if (read(fds[0], b, 8) != 0) { return 9; }
+    if (epoll_create() != 4) { return 10; }            // lowest free
+    return 0;
+}
+)"),
+              0);
+}
+
+TEST(Syscalls, AllocFdReturnsMinusOneAtTheCap)
+{
+    // kMaxFds descriptors are the hard cap: with every one taken the
+    // allocator reports -1 (the syscalls turn it into EMFILE), and a
+    // close anywhere below the cap makes that slot the next fd.
+    Process proc;
+    auto console = std::make_shared<Console>(nullptr);
+    proc.fds.assign(kMaxFds, console);
+    EXPECT_EQ(proc.alloc_fd(), -1);
+    EXPECT_EQ(proc.file_at(kMaxFds), nullptr);
+    EXPECT_EQ(proc.file_at(-1), nullptr);
+    proc.fds[4096].reset();
+    proc.fd_closed(4096);
+    EXPECT_EQ(proc.alloc_fd(), 4096);
+}
+
+/**
+ * The fd syscalls against a host-side model: a std::map from fd to
+ * an open-file id, plus each epoll object's watched fds. Pipes, files
+ * and the console are plain objects; an epoll object's interest list
+ * empties when its last descriptor goes, and closing (or dup2-ing
+ * over) a non-epoll fd removes that fd from every live epoll.
+ * Nested epolls are left out: their ELOOP and lifetime rules are the
+ * subject of the Epoll battery.
+ */
+struct FdModel {
+    struct Object {
+        bool epoll = false;
+        int refs = 0;
+        std::set<int> interest;
+    };
+    std::map<int, int> fds;         // fd -> object id
+    std::map<int, Object> objects;  // object id -> object
+    int next_object = 0;
+
+    FdModel()
+    {
+        int console = make(false);
+        for (int fd = 0; fd < 3; ++fd) {
+            install(fd, console);
+        }
+    }
+
+    int
+    make(bool epoll)
+    {
+        objects[next_object].epoll = epoll;
+        return next_object++;
+    }
+
+    void
+    install(int fd, int object)
+    {
+        fds[fd] = object;
+        ++objects[object].refs;
+    }
+
+    int
+    lowest_free() const
+    {
+        int fd = 0;
+        while (fds.count(fd)) {
+            ++fd;
+        }
+        return fd;
+    }
+
+    /** Drop descriptor fd (close, or dup2's implicit close). */
+    void
+    drop(int fd)
+    {
+        Object &obj = objects[fds.at(fd)];
+        fds.erase(fd);
+        if (--obj.refs == 0) {
+            obj.interest.clear();
+        }
+        if (!obj.epoll) {
+            for (auto &[id, other] : objects) {
+                if (other.epoll && other.refs > 0) {
+                    other.interest.erase(fd);
+                }
+            }
+        }
+    }
+
+    const Object *
+    at(int fd) const
+    {
+        auto it = fds.find(fd);
+        return it == fds.end() ? nullptr : &objects.at(it->second);
+    }
+};
+
+/** A seeded random program of fd syscalls, each checked against the
+ *  model; returns the MiniC source, with `ops` naming each check. */
+std::string
+fd_model_program(uint64_t seed, int count, std::vector<std::string> &ops)
+{
+    Rng rng(seed);
+    FdModel m;
+    const int pool[] = {-1, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11,
+                        kMaxFds - 1};
+    // Mostly an open descriptor (of the wanted kind when `epoll_only`),
+    // sometimes any of the pool, closed and out-of-range ones included.
+    auto pick = [&](bool epoll_only = false) {
+        std::vector<int> open;
+        for (const auto &[fd, id] : m.fds) {
+            if (!epoll_only || m.objects.at(id).epoll) {
+                open.push_back(fd);
+            }
+        }
+        if (open.empty() || rng.next_below(4) == 0) {
+            return pool[rng.next_below(sizeof(pool) / sizeof(pool[0]))];
+        }
+        return open[rng.next_below(open.size())];
+    };
+    std::string body;
+    auto check = [&](const std::string &call, int64_t want) {
+        ops.push_back(call + " == " + std::to_string(want));
+        body += "    if (" + call + " != " + std::to_string(want) +
+                ") { return " + std::to_string(ops.size()) + "; }\n";
+    };
+    auto arg = [](int fd) {
+        return fd < 0 ? "(0 - " + std::to_string(-fd) + ")"
+                      : std::to_string(fd);
+    };
+    for (int i = 0; i < count; ++i) {
+        switch (rng.next_below(8)) {
+          case 0: { // open
+            int fd = m.lowest_free();
+            check("open(path, 0)", fd);
+            m.install(fd, m.make(false));
+            break;
+          }
+          case 1: { // pipe
+            int rfd = m.lowest_free();
+            m.install(rfd, m.make(false));
+            int wfd = m.lowest_free();
+            m.install(wfd, m.make(false));
+            check("pipe(fds)", 0);
+            check("fds[0]", rfd);
+            check("fds[1]", wfd);
+            break;
+          }
+          case 2: { // close
+            int fd = pick();
+            check("close(" + arg(fd) + ")", m.at(fd) ? 0 : -9);
+            if (m.at(fd)) {
+                m.drop(fd);
+            }
+            break;
+          }
+          case 3: { // dup2, including targets outside [0, kMaxFds)
+            int oldfd = pick();
+            int newfd = rng.next_below(8) == 0
+                            ? (rng.next_below(2) ? kMaxFds : -2)
+                            : pick();
+            std::string call =
+                "dup2(" + arg(oldfd) + ", " + arg(newfd) + ")";
+            if (!m.at(oldfd) || newfd < 0 || newfd >= kMaxFds) {
+                check(call, -9);
+            } else if (oldfd == newfd) {
+                check(call, newfd);
+            } else {
+                check(call, newfd);
+                int object = m.fds.at(oldfd);
+                if (m.at(newfd)) {
+                    m.drop(newfd);
+                }
+                m.install(newfd, object);
+            }
+            break;
+          }
+          case 4: { // epoll_create
+            int fd = m.lowest_free();
+            check("epoll_create()", fd);
+            m.install(fd, m.make(true));
+            break;
+          }
+          default: { // epoll_ctl (three cases in eight)
+            int ep = pick(/*epoll_only=*/true);
+            int fd = pick();
+            const uint64_t op_pool[] = {1, 1, 2, 3, 7};
+            uint64_t op = op_pool[rng.next_below(5)];
+            const FdModel::Object *target = m.at(fd);
+            const FdModel::Object *epobj = m.at(ep);
+            if (op == 1 && target && target->epoll && target != epobj) {
+                break; // a nested epoll: outside the model
+            }
+            std::string call = "epoll_ctl(" + arg(ep) + ", " +
+                               std::to_string(op) + ", " + arg(fd) +
+                               ", 1)";
+            int64_t want = 0;
+            if (!epobj) {
+                want = -9;
+            } else if (!epobj->epoll) {
+                want = -22;
+            } else if (!target) {
+                want = -9;
+            } else if (op == 7) {
+                want = -22;
+            } else {
+                std::set<int> &interest =
+                    m.objects[m.fds.at(ep)].interest;
+                bool watched = interest.count(fd) != 0;
+                if (op == 1) {
+                    want = watched ? -17 : target == epobj ? -40 : 0;
+                    if (want == 0) {
+                        interest.insert(fd);
+                    }
+                } else {
+                    want = watched ? 0 : -2;
+                    if (watched && op == 2) {
+                        interest.erase(fd);
+                    }
+                }
+            }
+            check(call, want);
+            break;
+          }
+        }
+    }
+    // Final sweep: every descriptor's liveness (dup2(fd, fd) returns
+    // fd iff it is open) and every live epoll's exact interest list
+    // (MOD succeeds iff watched).
+    for (int fd : pool) {
+        check("dup2(" + arg(fd) + ", " + arg(fd) + ")",
+              m.at(fd) ? fd : -9);
+    }
+    for (const auto &[ep, id] : m.fds) {
+        if (!m.objects.at(id).epoll) {
+            continue;
+        }
+        for (int fd : pool) {
+            if (fd < 0 || !m.at(fd) || m.at(fd)->epoll) {
+                continue;
+            }
+            check("epoll_ctl(" + arg(ep) + ", 3, " + arg(fd) + ", 1)",
+                  m.objects.at(id).interest.count(fd) ? 0 : -2);
+        }
+    }
+    return "global byte path[4] = \"/f\";\nfunc main() {\n"
+           "    var fds[2];\n" +
+           body + "    return 0;\n}\n";
+}
+
+TEST(Syscalls, FdSyscallsMatchAMapModel)
+{
+    for (uint64_t seed = 1; seed <= 24; ++seed) {
+        std::vector<std::string> ops;
+        std::string source = fd_model_program(seed, 90, ops);
+        KernelHarness h;
+        h.files.put("/f", Bytes{});
+        int64_t code = h.run(source);
+        ASSERT_EQ(code, 0)
+            << "seed " << seed << ": check "
+            << (code > 0 && code <= static_cast<int64_t>(ops.size())
+                    ? ops[static_cast<size_t>(code - 1)]
+                    : std::string("?"))
+            << "\n"
+            << source;
+    }
 }
 
 // ---- timer-heap compaction (PR 9 bugfix sweep) ------------------------
